@@ -14,12 +14,16 @@ Antiderivatives:
   * freq != 0, power < 0: no elementary antiderivative; callers fall back
     to adaptive quadrature (only reachable through Fourier coefficients of
     Laurent pieces, which none of the standard constructions produce).
+
+Real Laurent pieces (real coefficients, freq == 0) also get exact roots,
+end limits and value ranges here, and every module reads right limits at
+cut points through ``_right_value``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -53,10 +57,6 @@ def mul_terms(t1: Sequence[Term], t2: Sequence[Term]) -> tuple[Term, ...]:
 
 def abs2_terms(terms: Sequence[Term]) -> tuple[Term, ...]:
     return mul_terms(terms, conj_terms(terms))
-
-
-def scale_terms(terms: Sequence[Term], alpha: complex) -> tuple[Term, ...]:
-    return tuple((alpha * c, p, w) for c, p, w in terms)
 
 
 def add_freq(terms: Sequence[Term], freq: float) -> tuple[Term, ...]:
@@ -169,25 +169,6 @@ def integrate_terms_to_inf(terms: Sequence[Term], a: float) -> complex:
     return complex(tot)
 
 
-def multiply_pieces(p1: Sequence[Piece], p2: Sequence[Piece]) -> list[Piece]:
-    """Pointwise product of two piecewise term functions (common refinement)."""
-    cuts = sorted({a for a, _, _ in p1} | {b for _, b, _ in p1 if math.isfinite(b)}
-                  | {a for a, _, _ in p2} | {b for _, b, _ in p2 if math.isfinite(b)})
-    out: list[Piece] = []
-    ends = [b for _, b, _ in p1] + [b for _, b, _ in p2]
-    top = max(ends)
-    grid = cuts + ([math.inf] if math.isinf(top) else [])
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        mid = lo * 2 if math.isinf(hi) else 0.5 * (lo + hi)
-        t1 = _terms_at(p1, mid)
-        t2 = _terms_at(p2, mid)
-        if t1 and t2:
-            prod = mul_terms(t1, t2)
-            if prod:
-                out.append((lo, hi, prod))
-    return out
-
-
 def _terms_at(pieces: Sequence[Piece], x: float) -> tuple[Term, ...]:
     for a, b, t in pieces:
         if a < x <= b or (a < x and math.isinf(b)):
@@ -205,22 +186,86 @@ def eval_pieces(pieces: Sequence[Piece], x) -> np.ndarray:
     return out
 
 
-def integrate_pieces(pieces: Sequence[Piece], a: float, b: float) -> complex:
-    """Integral of a piecewise term function over [a, b] (b may be inf)."""
-    tot = 0.0 + 0.0j
-    for lo, hi, terms in pieces:
-        l = max(a, lo)
-        h = min(b, hi)
-        if l >= h:
+def _right_value(pieces: Sequence[Piece], c: float) -> complex:
+    """Right limit of piecewise terms at a cut point (0 in support gaps)."""
+    for a, b, terms in pieces:
+        if a <= c < b:
+            return complex(eval_terms(terms, np.array([c]))[0])
+    return 0j
+
+
+# ---------------------------------------------------------------------------
+# real Laurent pieces: roots, end limits and value ranges
+
+
+def _real_w0_terms(terms: Sequence[Term]) -> Optional[list[tuple[float, int]]]:
+    """(coef, power) pairs of a real Laurent piece; None if any term is
+    oscillatory or complex."""
+    out = []
+    for c, p, w in terms:
+        if c == 0:
             continue
-        if math.isinf(h):
-            tot += integrate_terms_to_inf(terms, l)
+        if w != 0.0 or abs(complex(c).imag) > 0:
+            return None
+        out.append((float(np.real(c)), p))
+    return out
+
+
+def _laurent_roots(w0: list[tuple[float, int]], a: float, b: float
+                   ) -> list[float]:
+    """Real roots of a real Laurent polynomial inside (a, b), b may be inf."""
+    if len(w0) <= 1:
+        return []
+    qmin = min(p for _, p in w0)
+    arr = [0.0] * (max(p for _, p in w0) - qmin + 1)
+    for c, p in w0:
+        arr[p - qmin] += c
+    hi = b if math.isfinite(b) else max(a, 1.0) * 2.0 ** 80
+    out = []
+    for r in np.atleast_1d(np.polynomial.Polynomial(arr).roots()):
+        if abs(np.imag(r)) < 1e-10:
+            rr = float(np.real(r))
+            if a < rr < hi:
+                out.append(rr)
+    return sorted(out)
+
+
+def _laurent_end_limit(w0: list[tuple[float, int]], end: str) -> float:
+    """Limit of a real Laurent polynomial at 0+ ('lo') or +inf ('hi')."""
+    k = min(p for _, p in w0) if end == "lo" else max(p for _, p in w0)
+    ck = sum(c for c, p in w0 if p == k)
+    outgrows = (k < 0) if end == "lo" else (k > 0)
+    if outgrows:
+        return math.copysign(math.inf, ck)
+    return ck if k == 0 else 0.0
+
+
+def _piece_value_range(terms: Sequence[Term], a: float, b: float
+                       ) -> tuple[float, float]:
+    """(min, max) of a real piece over (a, b); dense sampling for trig."""
+    w0 = _real_w0_terms(terms)
+    if w0 is not None:
+        if not w0:
+            return 0.0, 0.0
+        pts = _laurent_roots(_real_w0_terms(derivative_terms(terms)), a, b)
+        lims = []
+        if a > 0.0:
+            pts.append(a)
         else:
-            tot += integrate_terms(terms, l, h)
-    return complex(tot)
-
-
-def split_cells(nodes: np.ndarray, breakpoints: Sequence[float]) -> np.ndarray:
-    """Union of grid nodes and breakpoints lying strictly inside the grid."""
-    inner = [x for x in breakpoints if nodes[0] < x < nodes[-1]]
-    return np.unique(np.concatenate([nodes, np.asarray(inner, dtype=float)]))
+            lims.append(_laurent_end_limit(w0, "lo"))
+        if math.isfinite(b):
+            pts.append(b)
+        else:
+            lims.append(_laurent_end_limit(w0, "hi"))
+        mn = min(lims, default=math.inf)
+        mx = max(lims, default=-math.inf)
+        if pts:
+            xs = np.array(sorted({x for x in pts if x > 0.0}))
+            vals = np.real(eval_terms(tuple((c, p, 0.0) for c, p in w0), xs))
+            mn = min(mn, float(vals.min()))
+            mx = max(mx, float(vals.max()))
+        return mn, mx
+    hi = b if math.isfinite(b) else max(a * 2.0 ** 20, 1e6)
+    xs = np.linspace(max(a, hi * 1e-12), hi, 8193)
+    vals = np.real(eval_terms(terms, xs))
+    return float(vals.min()), float(vals.max())

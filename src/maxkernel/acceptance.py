@@ -18,8 +18,7 @@ import numpy as np
 
 from . import classify, discretize, matrixrep, sturm
 from .symbols import (Interval, PiecewisePoly, Sampled, Step, Symbol,
-                      TrigPoly, support, to_pieces)
-from ._piecewise import integrate_terms, integrate_terms_to_inf
+                      TrigPoly, support)
 
 __all__ = ["CheckResult", "CHECKS", "FAMILIES", "run_checks"]
 
@@ -57,16 +56,6 @@ def _eigs(s: Symbol, key: str):
     return _eig_cache[key]
 
 
-def _integral(s: Symbol) -> float:
-    total = 0.0
-    for a, b, terms in to_pieces(s):
-        if math.isinf(b):
-            total += complex(integrate_terms_to_inf(terms, a)).real
-        else:
-            total += complex(integrate_terms(terms, a, b)).real
-    return total
-
-
 def check_exact_spectrum(tol=None) -> CheckResult:
     """Shooting eigenvalues of the affine symbol hit the closed form
     pi^-2 (n+1/2)^-2, and the dense discretization reproduces them."""
@@ -99,7 +88,7 @@ def check_trace_identity(tol=None) -> CheckResult:
                    ("tent", _TENT)):
         total, info = sturm.sum_with_tail(s, K=200,
                                           precomputed=_eigs(s, key))
-        target = _integral(s)
+        target = classify.trace_value(s).real
         rel = abs(total - target) / abs(target)
         worst = max(worst, rel)
         parts.append(f"{key} {rel:.2e}")

@@ -2,9 +2,9 @@
 
 Boundedness, compactness, and Schatten-class membership of the operator are
 all read off the symbol, so this module works entirely on the symbol side:
-dyadic L2 profiles, the tail functional x * int_x^inf |phi|^2, weighted
-variation norms, the monotone-symbol profile integral, and an assembled
-decision procedure that names the criterion it used.
+the tail-integral X_p norms, the tail functional x * int_x^inf |phi|^2,
+weighted variation norms, the monotone-symbol profile integral, and an
+assembled decision procedure that names the criterion it used.
 
 Verdicts are three-valued on purpose.  For 1/2 < p <= 1 the known
 sufficient conditions (variation, modulus of continuity) do not meet the
@@ -21,16 +21,16 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
-from ._piecewise import (Term, abs2_terms, derivative_terms, eval_terms,
-                         integrate_terms, integrate_terms_to_inf, merge_terms,
-                         mul_terms)
+from ._piecewise import (Term, _laurent_roots, _piece_value_range,
+                         _real_w0_terms, _right_value, abs2_terms,
+                         derivative_terms, eval_terms, integrate_terms,
+                         integrate_terms_to_inf, mul_terms)
 from .symbols import (Interval, PiecewisePoly, Sampled, Step, Symbol,
                       TrigPoly, evaluate, modulus, support, to_pieces,
                       variation_tail)
 
 __all__ = [
-    "DyadicProfile", "Verdict", "dyadic_profile", "x_p_norm",
-    "x_p_integral", "s2_norm", "l1_norm", "tail_functional",
+    "Verdict", "x_p_integral", "s2_norm", "l1_norm", "tail_functional",
     "tail_functional_limits", "is_bounded",
     "is_compact", "y_p_norm", "monotone_profile_norm", "dini_integral",
     "classify_schatten", "is_positive_operator", "is_nonincreasing",
@@ -64,21 +64,6 @@ class Verdict:
         return json.dumps({"verdict": self.verdict,
                            "criterion": self.criterion,
                            "norms": dict(self.norms)})
-
-
-@dataclass(frozen=True)
-class DyadicProfile:
-    """Per-cell weighted L2 profile d_n over dyadic cells [2^n, 2^(n+1)]."""
-    n_min: int
-    n_max: int
-    d: tuple[float, ...]
-    support_bounded_below: bool
-    support_bounded_above: bool
-    exact: bool
-
-    @property
-    def cells(self) -> range:
-        return range(self.n_min, self.n_max + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -167,62 +152,7 @@ def is_compact(s: Symbol) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# dyadic profile and the X_p norms
-
-
-def dyadic_profile(s: Symbol, window: Optional[tuple[int, int]] = None,
-                   pad: int = 8) -> DyadicProfile:
-    """Weighted cell norms d_n = 2^(n/2) ||phi||_{L2[2^n, 2^(n+1)]}.
-
-    The default window is the smallest dyadic range containing the support,
-    padded by ``pad`` cells on any side where the support continues past the
-    window (profile then carries exact=False).
-    """
-    pieces = to_pieces(s)
-    if not pieces:
-        return DyadicProfile(0, 0, (0.0,), True, True, True)
-    lo = pieces[0][0]
-    hi = pieces[-1][1]
-    if window is not None:
-        n_min, n_max = int(window[0]), int(window[1])
-    else:
-        ref = pieces[0][1] if lo == 0.0 else lo
-        n_min = math.floor(math.log2(ref)) - (pad if lo == 0.0 else 0)
-        if math.isfinite(hi):
-            n_max = math.ceil(math.log2(hi)) - 1
-        else:
-            last = max(a for a, _, _ in pieces)
-            n_max = math.ceil(math.log2(max(last, 1.0))) + pad
-        n_max = max(n_max, n_min)
-    d = []
-    for n in range(n_min, n_max + 1):
-        cell_lo, cell_hi = 2.0 ** n, 2.0 ** (n + 1)
-        mass = 0.0
-        for a, b, terms in pieces:
-            u, v = max(a, cell_lo), min(b, cell_hi)
-            if u < v:
-                mass += float(np.real(integrate_terms(abs2_terms(terms), u, v)))
-        d.append(2.0 ** (n / 2.0) * math.sqrt(max(mass, 0.0)))
-    exact = (lo >= 2.0 ** n_min) and math.isfinite(hi) and \
-        (hi <= 2.0 ** (n_max + 1))
-    return DyadicProfile(n_min, n_max, tuple(d), lo > 0.0,
-                         math.isfinite(hi), exact)
-
-
-def x_p_norm(prof: DyadicProfile, p: float) -> float:
-    """(sum d_n^p)^(1/p), or sup d_n for p = inf, over the profile window.
-
-    On truncated profiles this is a partial sum; consult ``prof.exact``.
-    """
-    d = np.asarray(prof.d, dtype=float)
-    if p == math.inf:
-        return float(d.max(initial=0.0))
-    if p <= 0:
-        raise ValueError("p must be positive")
-    total = 0.0
-    for v in d:
-        total += v ** p
-    return total ** (1.0 / p)
+# the X_p norms
 
 
 def x_p_integral(s: Symbol, p: float) -> float:
@@ -236,7 +166,7 @@ def x_p_integral(s: Symbol, p: float) -> float:
     if p <= 0:
         raise ValueError("p must be positive")
     if p == math.inf:
-        raise ValueError("use x_p_norm(profile, inf) for the sup form")
+        raise ValueError("p must be finite")
     pieces = to_pieces(s)
     if not pieces:
         return 0.0
@@ -320,25 +250,6 @@ def tail_functional(s: Symbol, x: float) -> float:
         else:
             total += float(np.real(integrate_terms(a2, lo, b)))
     return x * total
-
-
-def _laurent_roots(w0: list[tuple[float, int]], a: float, b: float
-                   ) -> list[float]:
-    """Real roots of a real Laurent polynomial inside (a, b), b may be inf."""
-    if len(w0) <= 1:
-        return []
-    qmin = min(p for _, p in w0)
-    arr = [0.0] * (max(p for _, p in w0) - qmin + 1)
-    for c, p in w0:
-        arr[p - qmin] += c
-    hi = b if math.isfinite(b) else max(a, 1.0) * 2.0 ** 80
-    out = []
-    for r in np.atleast_1d(np.polynomial.Polynomial(arr).roots()):
-        if abs(np.imag(r)) < 1e-10:
-            rr = float(np.real(r))
-            if a < rr < hi:
-                out.append(rr)
-    return sorted(out)
 
 
 def l1_norm(s: Symbol) -> float:
@@ -465,81 +376,6 @@ def y_p_norm(s: Symbol, p: float) -> float:
 # pointwise structure: sign, monotonicity, slopes
 
 
-def _real_w0_terms(terms) -> Optional[list[tuple[float, int]]]:
-    out = []
-    for c, p, w in terms:
-        if c == 0:
-            continue
-        if w != 0.0 or abs(complex(c).imag) > 0:
-            return None
-        out.append((float(np.real(c)), p))
-    return out
-
-
-def _laurent_extrema_candidates(coeffs: list[tuple[float, int]], a: float,
-                                b: float) -> list[float]:
-    """Interior critical points of a real Laurent polynomial on (a, b)."""
-    if not coeffs:
-        return []
-    # derivative: sum c*p x^(p-1); clear the lowest power to get a polynomial
-    dterms = [(c * p, p - 1) for c, p in coeffs if p != 0]
-    if not dterms:
-        return []
-    qmin = min(p for _, p in dterms)
-    arr = [0.0] * (max(p for _, p in dterms) - qmin + 1)
-    for c, p in dterms:
-        arr[p - qmin] += c
-    poly = np.polynomial.Polynomial(arr)
-    out = []
-    hi = b if math.isfinite(b) else max(a * 2.0 ** 60, 1e30)
-    for r in np.atleast_1d(poly.roots()):
-        if abs(np.imag(r)) < 1e-10:
-            rr = float(np.real(r))
-            if a < rr < hi:
-                out.append(rr)
-    return out
-
-
-def _laurent_end_limit(w0: list[tuple[float, int]], end: str) -> float:
-    """Limit of a real Laurent polynomial at 0+ ('lo') or +inf ('hi')."""
-    k = min(p for _, p in w0) if end == "lo" else max(p for _, p in w0)
-    ck = sum(c for c, p in w0 if p == k)
-    outgrows = (k < 0) if end == "lo" else (k > 0)
-    if outgrows:
-        return math.copysign(math.inf, ck)
-    return ck if k == 0 else 0.0
-
-
-def _piece_value_range(terms, a: float, b: float) -> tuple[float, float]:
-    """(min, max) of a real piece over (a, b); dense sampling for trig."""
-    w0 = _real_w0_terms(terms)
-    if w0 is not None:
-        if not w0:
-            return 0.0, 0.0
-        pts = _laurent_extrema_candidates(w0, a, b)
-        lims = []
-        if a > 0.0:
-            pts.append(a)
-        else:
-            lims.append(_laurent_end_limit(w0, "lo"))
-        if math.isfinite(b):
-            pts.append(b)
-        else:
-            lims.append(_laurent_end_limit(w0, "hi"))
-        mn = min(lims, default=math.inf)
-        mx = max(lims, default=-math.inf)
-        if pts:
-            xs = np.array(sorted({x for x in pts if x > 0.0}))
-            vals = np.real(eval_terms(tuple((c, p, 0.0) for c, p in w0), xs))
-            mn = min(mn, float(vals.min()))
-            mx = max(mx, float(vals.max()))
-        return mn, mx
-    hi = b if math.isfinite(b) else max(a * 2.0 ** 20, 1e6)
-    xs = np.linspace(max(a, hi * 1e-12), hi, 8193)
-    vals = np.real(eval_terms(terms, xs))
-    return float(vals.min()), float(vals.max())
-
-
 def is_nonnegative(s: Symbol, tol: float = 1e-12) -> bool:
     pieces = to_pieces(s)
     scale = max((max(abs(complex(c)) for c, _, _ in t) for _, _, t in pieces),
@@ -574,7 +410,7 @@ def is_nonincreasing(s: Symbol, tol: float = 1e-12) -> bool:
                   | {b for _, b, _ in pieces if math.isfinite(b)})
     for c in cuts:
         left = float(np.real(np.asarray(evaluate(s, c))))
-        right = _right_value(pieces, c)
+        right = _right_value(pieces, c).real
         if right > left + slack:
             return False
     # terminal value must not undershoot the implicit zero tail
@@ -583,14 +419,6 @@ def is_nonincreasing(s: Symbol, tol: float = 1e-12) -> bool:
         if float(np.real(np.asarray(evaluate(s, last_b)))) < -slack:
             return False
     return True
-
-
-def _right_value(pieces, c: float) -> float:
-    """Right limit of phi at a positive cut point (0 in support gaps)."""
-    for a, b, terms in pieces:
-        if a <= c < b:
-            return float(np.real(eval_terms(terms, np.array([c]))[0]))
-    return 0.0
 
 
 def is_positive_operator(s: Symbol) -> Verdict:
@@ -765,7 +593,7 @@ def trace_value(s: Symbol) -> complex:
 
 def kronecker_det(a) -> complex:
     """det of the matrix {a_max(i,j)} via the telescoping product a_n *
-    prod (a_i - a_(i+1)); cross-checked against a dense determinant."""
+    prod (a_i - a_(i+1))."""
     vals = [complex(v) for v in a]
     n = len(vals)
     if n < 1:
@@ -773,18 +601,6 @@ def kronecker_det(a) -> complex:
     out = vals[-1]
     for u, v in zip(vals[:-1], vals[1:]):
         out *= (u - v)
-    if n <= 12:
-        idx = np.arange(n)
-        M = np.asarray(vals)[np.maximum(idx[:, None], idx[None, :])]
-        dense = complex(np.linalg.det(M))
-        # LU roundoff leaves noise ~ eps * |a|_max^n even when the true
-        # determinant is exactly 0 (repeated adjacent values), so the
-        # comparison needs an absolute floor at that scale
-        amax = max(1.0, max(abs(v) for v in vals))
-        floor = 32.0 * n * np.finfo(float).eps * amax ** n
-        if abs(out - dense) > max(1e-9 * max(abs(out), abs(dense)), floor):
-            raise AssertionError(
-                f"determinant identity violated: {out} vs dense {dense}")
     return out
 
 

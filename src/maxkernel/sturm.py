@@ -28,9 +28,9 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.special import polygamma
 
-from ._piecewise import derivative_terms, eval_terms
-from .classify import (_laurent_roots, _piece_value_range, _real_w0_terms,
-                       _right_value, canonical_step)
+from ._piecewise import (_laurent_roots, _piece_value_range, _real_w0_terms,
+                         _right_value, derivative_terms, eval_terms)
+from .classify import canonical_step
 from .symbols import Symbol, evaluate, is_real_symbol, support, to_pieces
 
 __all__ = [
@@ -117,8 +117,9 @@ def _validate(s: Symbol, need_root_at_b: bool) -> _Problem:
     # continuity at every cut, and phi(0+) finite
     cuts = sorted({c for a, bb, _ in pieces for c in (a, bb) if c < b})
     for c in cuts:
-        left = float(evaluate(s, c)) if c > 0 else _right_value(pieces, 0.0)
-        right = _right_value(pieces, c)
+        left = float(evaluate(s, c)) if c > 0 else \
+            _right_value(pieces, 0.0).real
+        right = _right_value(pieces, c).real
         if c == 0.0:
             if not math.isfinite(right):
                 raise ValueError("not-smooth-enough: phi blows up at 0")

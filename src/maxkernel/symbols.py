@@ -20,23 +20,24 @@ Conventions:
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from scipy.integrate import quad
 
-from ._piecewise import (Piece, Term, abs2_terms, derivative_terms,
-                         eval_pieces, eval_terms, integrate_pieces,
-                         integrate_terms, integrate_terms_to_inf, merge_terms,
-                         mul_terms, scale_terms, shift_terms)
+from ._piecewise import (Piece, _laurent_roots, _real_w0_terms, _right_value,
+                         _terms_at, abs2_terms, derivative_terms, eval_pieces,
+                         eval_terms, integrate_terms, integrate_terms_to_inf,
+                         merge_terms, shift_terms)
 
 __all__ = [
     "Interval", "Step", "PiecewisePoly", "TrigPoly", "Sampled", "Symbol",
     "evaluate", "scale", "support", "is_real_symbol", "to_pieces",
-    "variation_tail", "heart_transform", "modulus", "subtract_terminal",
+    "variation_tail", "modulus", "subtract_terminal",
     "symbol_to_json", "symbol_from_json",
 ]
 
@@ -68,6 +69,12 @@ def _as_ctuple(xs) -> tuple[complex, ...]:
     return tuple(complex(x) for x in xs)
 
 
+def _check_finite(what: str, xs) -> None:
+    # NaN fails every ordering test, so it must be caught before them
+    if not all(cmath.isfinite(x) for x in xs):
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class Step:
     """Step function: value values[i] on (x_{i-1}, x_i], zero beyond."""
@@ -78,6 +85,8 @@ class Step:
         object.__setattr__(self, "breakpoints", _as_tuple(breakpoints))
         object.__setattr__(self, "values", _as_ctuple(values))
         bp = self.breakpoints
+        _check_finite("breakpoints", bp)
+        _check_finite("values", self.values)
         if len(bp) != len(self.values):
             raise ValueError("breakpoints and values must have equal length")
         if len(bp) == 0 or bp[0] <= 0 or any(a >= b for a, b in zip(bp, bp[1:])):
@@ -103,6 +112,11 @@ class PiecewisePoly:
         object.__setattr__(self, "pieces", tuple(_as_ctuple(p) for p in pieces))
         if lowest is None:
             lowest = (0,) * len(self.pieces)
+        lowest, tail = tuple(lowest), tuple(tail)
+        _check_finite("breakpoints", self.breakpoints)
+        _check_finite("coefficients", [c for p in self.pieces for c in p])
+        _check_finite("lowest powers", lowest)
+        _check_finite("tail", [v for pair in tail for v in pair])
         object.__setattr__(self, "lowest", tuple(int(k) for k in lowest))
         object.__setattr__(self, "tail", tuple((complex(c), int(p)) for c, p in tail))
         bp = self.breakpoints
@@ -125,6 +139,8 @@ class TrigPoly:
         object.__setattr__(self, "period", float(period))
         object.__setattr__(self, "coeffs", _as_ctuple(coeffs))
         object.__setattr__(self, "periodic", bool(periodic))
+        _check_finite("period", [self.period])
+        _check_finite("coeffs", self.coeffs)
         if self.period <= 0:
             raise ValueError("period must be positive")
         if len(self.coeffs) % 2 != 1:
@@ -147,6 +163,8 @@ class Sampled:
         object.__setattr__(self, "values", _as_ctuple(values))
         object.__setattr__(self, "interpolation", str(interpolation))
         g = self.grid
+        _check_finite("grid", g)
+        _check_finite("values", self.values)
         if len(g) < 2 or len(g) != len(self.values):
             raise ValueError("need at least two samples and matching values")
         if g[0] <= 0 or any(a >= b for a, b in zip(g, g[1:])):
@@ -277,26 +295,6 @@ def scale(s: Symbol, t: float) -> Symbol:
 # variation
 
 
-def _poly_real_roots(coeffs: Sequence[complex], lo: float, hi: float,
-                     lowest: int) -> list[float]:
-    """Real roots of sum c_j x^(lowest+j) inside (lo, hi)."""
-    cs = np.asarray(coeffs, dtype=complex)
-    if lowest < 0:
-        # multiply by x^{-lowest}; roots in (0, inf) unchanged
-        pass
-    if len(cs) <= 1:
-        return []
-    poly = np.polynomial.Polynomial(cs.real if np.allclose(cs.imag, 0) else cs)
-    roots = poly.roots()
-    out = []
-    for r in np.atleast_1d(roots):
-        if abs(np.imag(r)) < 1e-12:
-            rr = float(np.real(r))
-            if lo < rr < hi:
-                out.append(rr)
-    return sorted(out)
-
-
 def variation_tail(s: Symbol, x: float) -> float:
     """Total variation of phi over [x, inf), counting jump magnitudes.
 
@@ -322,15 +320,11 @@ def variation_tail(s: Symbol, x: float) -> float:
         d = derivative_terms(terms)
         if not d:
             continue
-        if all(w == 0.0 for _, _, w in d) and all(c.imag == 0 for c, _, _ in d):
+        w0 = _real_w0_terms(d)
+        if w0 is not None:
             # real Laurent derivative: integrate |d| exactly between roots
-            kmin = min(p for _, p, _ in d)
-            shifted = [0.0] * (max(p for _, p, _ in d) - kmin + 1)
-            for c, p, _ in d:
-                shifted[p - kmin] = c.real
             hi = b if math.isfinite(b) else max(2 * lo, lo + 1) * 2 ** 40
-            roots = _poly_real_roots(shifted, lo, hi, kmin)
-            nodes = [lo] + roots + [b]
+            nodes = [lo] + _laurent_roots(w0, lo, hi) + [b]
             for u, v in zip(nodes[:-1], nodes[1:]):
                 if math.isinf(v):
                     try:
@@ -353,29 +347,9 @@ def variation_tail(s: Symbol, x: float) -> float:
         if c < x or c == 0.0:
             continue
         left = complex(eval_pieces(pieces, np.array([c]))[0])
-        right = _right_limit(pieces, c)
+        right = _right_value(pieces, c)
         total += abs(left - right)
     return total
-
-
-def _right_limit(pieces, c: float) -> complex:
-    for a, b, terms in pieces:
-        if a == c:
-            return complex(eval_terms(terms, np.array([c]))[0])
-    return 0.0
-
-
-def heart_transform(s: Symbol):
-    """Logarithmic substitution t -> 2*phi(exp(2t))*exp(2t).
-
-    Returns a plain callable; it exists to design exponentially graded
-    grids, not for exact integration.
-    """
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        x = np.exp(2.0 * t)
-        return 2.0 * evaluate(s, x) * x
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +418,12 @@ def _shift_diff_sq(s: Symbol, a: float, b: float, sh: float) -> float:
     total = 0.0
     for lo, up in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (lo + up)
-        t1 = _terms_at_local(shifted, mid)
-        t0 = _terms_at_local(pieces, mid)
+        t1 = _terms_at(shifted, mid)
+        t0 = _terms_at(pieces, mid)
         diff = merge_terms(list(t1) + [(-c, pp, w) for c, pp, w in t0])
         if diff:
             total += integrate_terms(abs2_terms(diff), lo, up).real
     return total
-
-
-def _terms_at_local(pieces, x: float):
-    for a, b, t in pieces:
-        if a < x <= b or (a < x and math.isinf(b)):
-            return t
-    return ()
 
 
 # ---------------------------------------------------------------------------

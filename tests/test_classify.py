@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxkernel import classify
@@ -119,16 +120,40 @@ def test_kronecker_det_known():
         classify.kronecker_det([])
 
 
+def _dense_det(vals):
+    """det of {a_max(i,j)} by partial-pivot elimination at the current
+    mpmath precision.  mpmath.det is not used: it returns 0 once a pivot
+    falls below eps times the matrix norm, as subnormal entries do."""
+    n = len(vals)
+    A = [[mpmath.mpc(vals[max(i, j)]) for j in range(n)] for i in range(n)]
+    det = mpmath.mpc(1)
+    for k in range(n):
+        piv = max(range(k, n), key=lambda r: abs(A[r][k]))
+        if A[piv][k] == 0:
+            return mpmath.mpc(0)
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            det = -det
+        det *= A[k][k]
+        for r in range(k + 1, n):
+            f = A[r][k] / A[k][k]
+            for c in range(k + 1, n):
+                A[r][c] -= f * A[k][c]
+    return det
+
+
 @given(st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                                    allow_infinity=False),
-                min_size=1, max_size=8))
+                min_size=1, max_size=12))
+@example([0j, 1.1e-308])  # np.linalg.det returns nan+nanj here
 @settings(max_examples=80, deadline=None)
 def test_kronecker_det_matches_dense(vals):
-    a = np.asarray(vals)
-    got = classify.kronecker_det(a)
-    idx = np.arange(len(a))
-    want = complex(np.linalg.det(a[np.maximum(idx[:, None], idx[None, :])]))
-    assert got == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
+    got = classify.kronecker_det(vals)
+    with mpmath.workdps(50):
+        want = _dense_det(vals)
+        # the telescoping product keeps only absolute accuracy once it
+        # underflows into subnormals, hence the floor
+        assert abs(mpmath.mpc(got) - want) <= 1e-12 * abs(want) + 1e-300
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.6, 3.0))

@@ -110,6 +110,13 @@ def test_parse_error_exit(capsys):
     assert main(["classify", "--symbol", AFFINE, "--p", "one"]) == 2
 
 
+def test_non_finite_symbol_exit(capsys):
+    nan_step = '{"kind":"step","breakpoints":[NaN],"values":[1]}'
+    assert main(["classify", "--symbol", nan_step, "--p", "1",
+                 "--format", "json"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_unwritable_out_exit(tmp_path, capsys):
     target = tmp_path / "no_such_dir" / "res.csv"
     assert main(["classify", "--symbol", AFFINE, "--p", "1",

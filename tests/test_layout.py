@@ -1,0 +1,64 @@
+"""Static checks on the package layout, read from the source with ast."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PKG = Path(__file__).resolve().parents[1] / "src" / "maxkernel"
+MODULES = sorted(PKG.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _bound_names(tree) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for t in targets:
+                names.update(n.id for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+    return names
+
+
+def _all_names(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_names_exist(path):
+    tree = _tree(path)
+    missing = set(_all_names(tree)) - _bound_names(tree)
+    assert not missing, f"{path.stem}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_private_imports_only_from_piecewise(path):
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            source = node.module or ""
+        elif (node.module or "").startswith("maxkernel."):
+            source = node.module.split(".", 1)[1]
+        else:
+            continue
+        if source == "_piecewise":
+            continue
+        bad += [f"{source}.{a.name}" for a in node.names
+                if a.name.startswith("_")]
+    assert not bad, f"{path.stem} imports private names {bad}"

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxkernel import sturm
-from maxkernel.symbols import PiecewisePoly, Step
+from maxkernel.symbols import (Interval, PiecewisePoly, Step,
+                               subtract_terminal)
 
 
 def test_affine_eigenvalues_closed_form(affine):
@@ -16,6 +17,18 @@ def test_affine_eigenvalues_closed_form(affine):
     exact = 1.0 / (np.pi * (n + 0.5)) ** 2
     assert np.max(np.abs(lam / exact - 1.0)) < 1e-12
     assert all(r.boundary_residual < 1e-10 for r in res)
+
+
+def test_subtract_terminal_gives_affine():
+    s = PiecewisePoly([1.0], [[2.0, -1.0]])     # 2 - x, phi(1) = 1
+    with pytest.raises(ValueError, match="subtract_terminal"):
+        sturm.eigenvalues(s, 1)
+    shifted, c = subtract_terminal(s, Interval(0.0, 1.0))
+    assert c == 1.0
+    lam = np.array([r.lam for r in sturm.eigenvalues(shifted, 21)])
+    n = np.arange(21)
+    exact = 1.0 / (np.pi * (n + 0.5)) ** 2
+    assert np.max(np.abs(lam / exact - 1.0)) < 1e-12
 
 
 def test_affine_flow_is_trigonometric(affine):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from maxkernel.symbols import (Interval, PiecewisePoly, Sampled, Step,
                                TrigPoly, evaluate, is_real_symbol, modulus,
-                               support, symbol_from_json, symbol_to_json,
-                               to_pieces, variation_tail)
+                               subtract_terminal, support, symbol_from_json,
+                               symbol_to_json, to_pieces, variation_tail)
 
 from conftest import random_step
 
@@ -129,3 +129,43 @@ def test_constructor_rejections():
         Sampled((0.0, 1.0), (1.0, 2.0), "pl")  # grid must be positive
     with pytest.raises(ValueError):
         TrigPoly(1.0, [1.0, 2.0])         # even length, no center
+
+
+NON_FINITE = {
+    "step-breakpoint": lambda: Step([math.nan], [1.0]),
+    "step-value": lambda: Step([1.0], [math.inf]),
+    "step-value-imag": lambda: Step([1.0], [complex(1.0, math.nan)]),
+    "ppoly-breakpoint": lambda: PiecewisePoly([math.inf], [[1.0]]),
+    "ppoly-coefficient": lambda: PiecewisePoly([1.0], [[1.0, math.nan]]),
+    "ppoly-lowest": lambda: PiecewisePoly([1.0], [[1.0]], lowest=[math.inf]),
+    "ppoly-tail-coef": lambda: PiecewisePoly([1.0], [()],
+                                             tail=[(math.inf, -2)]),
+    "ppoly-tail-power": lambda: PiecewisePoly([1.0], [()],
+                                              tail=[(1.0, -math.inf)]),
+    "trig-period": lambda: TrigPoly(math.inf, [1.0]),
+    "trig-coeff": lambda: TrigPoly(1.0, [0.5, math.nan, 0.5]),
+    "sampled-grid": lambda: Sampled((0.5, math.nan), (1.0, 2.0)),
+    "sampled-value": lambda: Sampled((0.5, 1.0), (1.0, -math.inf), "pc"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_FINITE))
+def test_constructors_reject_non_finite(field):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE[field]()
+
+
+@pytest.mark.parametrize("s, hi", [
+    (Step([1.0, 2.0], [2.0, 1.0]), 1.5),
+    (Step([1.0, 2.0], [2.0, 1.0]), 2.0),
+    (PiecewisePoly([0.5, 1.0], [[1.0], [2.0, -1.0]]), 0.75),
+    (TrigPoly(1.0, [0.5, 0.2, 0.5]), 1.0),
+    (Sampled((0.25, 0.5, 1.0), (0.0, 1.0, 0.5), "pl"), 1.0),
+], ids=["step-inside", "step-at-breakpoint", "ppoly", "trig", "sampled"])
+def test_subtract_terminal(s, hi):
+    shifted, c = subtract_terminal(s, Interval(0.0, hi))
+    assert c != 0
+    assert evaluate(shifted, hi) == pytest.approx(0.0, abs=1e-14)
+    xs = np.linspace(0.0, hi, 41)[1:]
+    assert np.allclose(evaluate(shifted, xs), evaluate(s, xs) - c,
+                       rtol=0.0, atol=1e-14)
