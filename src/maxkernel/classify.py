@@ -211,6 +211,12 @@ def x_p_integral(s: Symbol, p: float) -> float:
     def f(x: float) -> float:
         return x ** (p / 2.0 - 1.0) * max(T(x), 0.0) ** (p / 2.0)
 
+    return _quad_over_pieces(f, pieces) ** (1.0 / p)
+
+
+def _quad_over_pieces(f, pieces) -> float:
+    """int_0^inf f by quad between consecutive piece ends (f vanishes past a
+    bounded support)."""
     cuts = sorted({0.0} | {a for a, _, _ in pieces}
                   | {b for _, b, _ in pieces if math.isfinite(b)})
     total = 0.0
@@ -221,7 +227,7 @@ def x_p_integral(s: Symbol, p: float) -> float:
         val, _ = quad(f, cuts[-1], np.inf, limit=200, epsabs=1e-13,
                       epsrel=1e-11)
         total += val
-    return total ** (1.0 / p)
+    return total
 
 
 def s2_norm(s: Symbol) -> float:
@@ -461,17 +467,7 @@ def monotone_profile_norm(s: Symbol, p: float) -> float:
         v = float(np.real(np.asarray(evaluate(s, x))))
         return x ** (p - 1.0) * max(v, 0.0) ** p
 
-    cuts = sorted({0.0} | {a for a, _, _ in pieces}
-                  | {b for _, b, _ in pieces if math.isfinite(b)})
-    total = 0.0
-    for u, v in zip(cuts[:-1], cuts[1:]):
-        val, _ = quad(f, u, v, limit=200, epsabs=1e-13, epsrel=1e-11)
-        total += val
-    if math.isinf(pieces[-1][1]):
-        val, _ = quad(f, cuts[-1], np.inf, limit=200, epsabs=1e-13,
-                      epsrel=1e-11)
-        total += val
-    return total ** (1.0 / p)
+    return _quad_over_pieces(f, pieces) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,15 @@ run that made it.
 
 CSV numbers are written with repr (shortest round-trip form) and all
 reductions run in a fixed order, so re-running a job byte-identically
-reproduces the file.  Exit codes: 2 for unparseable input, 3 for numeric
-failure inside a solve, 1 for acceptance-check failures under ``verify``.
+reproduces the file.  Exit codes: 2 for unparseable or out-of-range input,
+3 for numeric failure inside a solve, 1 for acceptance-check failures under
+``verify``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -91,11 +93,21 @@ def _load_symbol(arg: str) -> Symbol:
             f"expected): {e}") from e
 
 
-def _parse_floats(text: str) -> tuple:
+def _parse_exponents(text: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(","))
+        ps = tuple(float(v) for v in text.split(","))
     except ValueError as e:
         raise SystemExit(f"bad numeric list {text!r}: {e}") from e
+    if not all(0.0 < p < math.inf for p in ps):
+        raise SystemExit(f"exponents must be positive and finite: {text!r}")
+    return ps
+
+
+def _positive_int(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
 
 
 def _parse_ints(text: str) -> tuple:
@@ -107,7 +119,7 @@ def _parse_ints(text: str) -> tuple:
 
 def cmd_classify(args) -> int:
     s = _load_symbol(args.symbol)
-    ps = _parse_floats(args.p)
+    ps = _parse_exponents(args.p)
     cfg = JobConfig("classify", symbol=args.symbol, p=ps,
                     format=args.format)
     results = []
@@ -214,7 +226,7 @@ def cmd_hankel(args) -> int:
 
 def cmd_expdemo(args) -> int:
     Ns = args.N or (1, 4, 16, 64, 256)
-    ps = _parse_floats(args.p)
+    ps = _parse_exponents(args.p)
     cfg = JobConfig("expdemo", N=tuple(Ns), p=ps, format=args.format)
     table = matrixrep.exp_symbol_growth(Ns, ps)
     if args.format == "json":
@@ -272,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=256,
                    help="initial grid size for the dense method")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--K", type=int, default=16,
+    p.add_argument("--K", type=_positive_int, default=16,
                    help="values to resolve / track")
     p.add_argument("--N", type=_parse_ints, default=None,
                    help="oscillation frequency for --method exp")
@@ -282,12 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sturm", help="shooting eigenvalue table")
     common(p)
-    p.add_argument("--K", type=int, default=20)
+    p.add_argument("--K", type=_positive_int, default=20)
     p.set_defaults(fn=cmd_sturm)
 
     p = sub.add_parser("hankel", help="Fourier-side window spectrum")
     common(p)
-    p.add_argument("--K", type=int, default=64,
+    p.add_argument("--K", type=_positive_int, default=64,
                    help="Fourier coefficients per side")
     p.add_argument("--n", type=int, default=None,
                    help="window half-order (default: automatic)")

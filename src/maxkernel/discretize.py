@@ -118,6 +118,15 @@ def _grid(interval: Interval, n: int, grid) -> np.ndarray:
     raise ValueError(f"unknown grid {grid!r}")
 
 
+def _lower_factor(m: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Lower Galerkin factor from the cell integrals: m_i sqrt(h_j / h_i)
+    below the diagonal, w_i / h_i on it."""
+    rh = np.sqrt(h)
+    lower = np.tril(np.outer(m / rh, rh), -1)
+    np.fill_diagonal(lower, w / h)
+    return lower
+
+
 def galerkin_matrix(s: Symbol, interval=None, n: int = 256,
                     grid: str = "uniform", mask: str = "full") -> GalerkinMatrix:
     """Galerkin matrix of the kernel on normalized cell indicators.
@@ -141,12 +150,9 @@ def galerkin_matrix(s: Symbol, interval=None, n: int = 256,
         interval = Interval(float(nodes[0]), float(nodes[-1]))
         n = len(nodes) - 1
     m, w = _cell_integrals(s, nodes)
-    h = np.diff(nodes)
-    rh = np.sqrt(h)
     if is_real_symbol(s):
         m, w = m.real, w.real
-    lower = np.tril(np.outer(m / rh, rh), -1)
-    np.fill_diagonal(lower, w / h)
+    lower = _lower_factor(m, w, np.diff(nodes))
     entries = lower if mask == "lower" else lower + lower.T
     return GalerkinMatrix(interval, n, nodes, entries, mask)
 
@@ -399,11 +405,7 @@ def factor_residual(s: Symbol, n: int = 2048, interval=None) -> float:
         interval = Interval(*interval)
     M = galerkin_matrix(s, interval, n, mask="full").entries
     nodes = np.linspace(interval.lo, interval.hi, n + 1)
-    mpsi, wpsi = _sqrt_slope_cell_integrals(s, nodes)
-    h = np.diff(nodes)
-    rh = np.sqrt(h)
-    V = np.tril(np.outer(mpsi / rh, rh), -1)
-    np.fill_diagonal(V, wpsi / h)
+    V = _lower_factor(*_sqrt_slope_cell_integrals(s, nodes), np.diff(nodes))
     R = M - V.T @ V
     num = float(np.max(np.abs(eigvalsh(R))))
     den = float(np.max(np.abs(eigvalsh(M))))

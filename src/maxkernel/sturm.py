@@ -13,8 +13,10 @@ with f = g, G(0) = 0 and g(b) = 0.  In Prufer form the angle obeys
 and theta(b) is strictly increasing in omega, so the n-th eigenvalue is the
 root of theta(b; omega) = (n + 1/2) pi.  On segments where phi' is constant
 both the angle and the (G, g) flow have closed forms (used whenever the
-symbol is piecewise linear); otherwise the angle is integrated with DOP853
-at local tolerance 1e-11, breakpoints taken as mandatory nodes.
+symbol is piecewise linear); otherwise both are integrated with DOP853,
+breakpoints taken as mandatory nodes.  Either way one root finder, the
+Illinois variant of regula falsi (Dowell & Jarratt, BIT 11, 1971), solves
+for all K frequencies at once, each component in its own bracket.
 """
 
 from __future__ import annotations
@@ -197,53 +199,22 @@ def _theta_end(prob: _Problem, omegas: np.ndarray) -> np.ndarray:
             else:
                 th = _advance_slope(th, math.sqrt(c) * omegas * dx, c)
         return th
-    return _theta_end_ode(prob, omegas, with_derivative=False)[0]
-
-
-def _theta_end_ode(prob: _Problem, omegas: np.ndarray, with_derivative: bool):
-    """Terminal angle, optionally with its omega-derivative (variational
-    equation v' = dF/dtheta v + F/omega, v(0) = 0), integrated together."""
-    m = len(omegas)
-    th = np.zeros(m)
-    v = np.zeros(m)
     for (x0, x1, _), dp in zip(prob.segments, prob.dfuns):
         if dp is None:
-            if with_derivative:
-                # v' = -omega sin(2 theta) v + theta'/omega on flat parts;
-                # cheaper to integrate than to differentiate the closed form
-                def rhs(x, y):
-                    t, vv = y[:m], y[m:]
-                    s2 = np.sin(t) ** 2
-                    f = omegas * (1.0 - s2)
-                    return np.concatenate([
-                        f, -omegas * np.sin(2.0 * t) * vv + f / omegas])
-            else:
-                th = _advance_flat(th, omegas * (x1 - x0))
-                continue
-        else:
-            if with_derivative:
-                def rhs(x, y, dp=dp):
-                    d = dp(x)
-                    t, vv = y[:m], y[m:]
-                    c2 = np.cos(t) ** 2
-                    f = omegas * (c2 - d * (1.0 - c2))
-                    dfdt = -omegas * np.sin(2.0 * t) * (1.0 + d)
-                    return np.concatenate([f, dfdt * vv + f / omegas])
-            else:
-                def rhs(x, y, dp=dp):
-                    d = dp(x)
-                    c2 = np.cos(y) ** 2
-                    return omegas * (c2 - d * (1.0 - c2))
-        y0 = np.concatenate([th, v]) if with_derivative else th
-        sol = solve_ivp(rhs, (x0, x1), y0, method="DOP853",
+            th = _advance_flat(th, omegas * (x1 - x0))
+            continue
+
+        def rhs(x, y, dp=dp):
+            d = dp(x)
+            c2 = np.cos(y) ** 2
+            return omegas * (c2 - d * (1.0 - c2))
+
+        sol = solve_ivp(rhs, (x0, x1), th, method="DOP853",
                         rtol=_RTOL_ANGLE, atol=_ATOL_ANGLE)
         if not sol.success:
             raise RuntimeError(f"angle integration failed: {sol.message}")
-        if with_derivative:
-            th, v = sol.y[:m, -1], sol.y[m:, -1]
-        else:
-            th = sol.y[:, -1]
-    return th, v
+        th = sol.y[:, -1]
+    return th
 
 
 def prufer_theta(s: Symbol, omega: float) -> PruferRun:
@@ -261,7 +232,7 @@ def prufer_theta(s: Symbol, omega: float) -> PruferRun:
 
 
 def _flow_samples(prob: _Problem, omegas: np.ndarray, xs: np.ndarray):
-    """G and g at sorted sample points xs, shape (len(xs), len(omegas))."""
+    """G and g at sample points xs in [0, b], shape (len(xs), len(omegas))."""
     m = len(omegas)
     G = np.zeros((len(xs), m))
     g = np.zeros((len(xs), m))
@@ -270,28 +241,26 @@ def _flow_samples(prob: _Problem, omegas: np.ndarray, xs: np.ndarray):
     if prob.closed_form:
         for (x0, x1, _), c in zip(prob.segments, prob.slopes):
             sel = (xs > x0) & (xs <= x1) if x0 > 0 else (xs >= 0) & (xs <= x1)
-            d = xs[sel, None] - x0
+            # the segment end rides along as the last row: it seeds the next
+            d = np.append(xs[sel], x1)[:, None] - x0
             if c <= 0.0:
-                G[sel] = G0 + g0 * d
-                g[sel] = np.broadcast_to(g0, (int(sel.sum()), m))
+                Gs = G0 + g0 * d
+                gs = np.broadcast_to(g0, Gs.shape)
             else:
                 mu = math.sqrt(c) * omegas
-                G[sel] = G0 * np.cos(mu * d) + (g0 / mu) * np.sin(mu * d)
-                g[sel] = -G0 * mu * np.sin(mu * d) + g0 * np.cos(mu * d)
-            dseg = x1 - x0
-            if c <= 0.0:
-                G0, g0 = G0 + g0 * dseg, g0
-            else:
-                mu = math.sqrt(c) * omegas
-                G0, g0 = (G0 * np.cos(mu * dseg) + (g0 / mu) * np.sin(mu * dseg),
-                          -G0 * mu * np.sin(mu * dseg) + g0 * np.cos(mu * dseg))
+                cs, sn = np.cos(mu * d), np.sin(mu * d)
+                Gs = G0 * cs + (g0 / mu) * sn
+                gs = -G0 * mu * sn + g0 * cs
+            G[sel], g[sel] = Gs[:-1], gs[:-1]
+            G0, g0 = Gs[-1], gs[-1]
         return G, g
     y = np.concatenate([G0, g0])
-    for x0, x1, dt in prob.segments:
+    w2 = omegas ** 2
+    for (x0, x1, _), dp in zip(prob.segments, prob.dfuns):
 
-        def rhs(x, y, dt=dt):
-            dp = float(np.real(eval_terms(dt, np.array([x]))[0])) if dt else 0.0
-            return np.concatenate([y[m:], (omegas ** 2 * dp) * y[:m]])
+        def rhs(x, y, dp=dp):
+            d = dp(x) if dp is not None else 0.0
+            return np.concatenate([y[m:], (w2 * d) * y[:m]])
 
         sol = solve_ivp(rhs, (x0, x1), y, method="DOP853",
                         rtol=_RTOL, atol=_ATOL, dense_output=True)
@@ -328,20 +297,19 @@ def _boundary_residuals(s: Symbol, prob: _Problem, omegas: np.ndarray
     mid = 0.5 * (bounds[:-1] + bounds[1:])
     half = 0.5 * np.diff(bounds)
     nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    _, gvals = _flow_samples(prob, omegas, nodes)
-    phi = np.real(np.asarray(evaluate(s, nodes), dtype=complex))
-    seg_int = ((phi[:, None] * gvals).reshape(len(mid), 12, -1)
+    n = len(nodes)
+    xs = np.concatenate([nodes, [0.0, 0.5 * b, b]])
+    G, g = _flow_samples(prob, omegas, xs)
+    phi = np.real(np.asarray(evaluate(s, xs), dtype=complex))
+    seg_int = ((phi[:n, None] * g[:n]).reshape(len(mid), 12, -1)
                * (half[:, None] * gw[None, :])[..., None]).sum(axis=1)
     # suffix sums give int_{bounds[i]}^b phi g
     suffix = np.vstack([np.cumsum(seg_int[::-1], axis=0)[::-1],
                         np.zeros((1, len(omegas)))])
-    checkpoints = np.array([0.0, 0.5 * b, b])
-    Gc, gc = _flow_samples(prob, omegas, checkpoints)
-    phic = np.real(np.asarray(evaluate(s, checkpoints), dtype=complex))
-    idx = np.searchsorted(bounds, checkpoints)
+    idx = np.searchsorted(bounds, xs[n:])
     lam = omegas ** -2.0
-    gmax = np.maximum(np.max(np.abs(gvals), axis=0), 1e-300)
-    resid = np.abs(phic[:, None] * Gc + suffix[idx] - lam[None, :] * gc)
+    gmax = np.maximum(np.max(np.abs(g[:n]), axis=0), 1e-300)
+    resid = np.abs(phi[n:, None] * G[n:] + suffix[idx] - lam[None, :] * g[n:])
     return np.max(resid, axis=0) / (lam * gmax)
 
 
@@ -349,33 +317,39 @@ def _boundary_residuals(s: Symbol, prob: _Problem, omegas: np.ndarray
 # eigenvalues
 
 
+def _root_slope_integral(dt, a: float, b: float) -> float:
+    """int_a^b |phi'|^(1/2) over one piece with derivative terms dt."""
+
+    def f(x):
+        return math.sqrt(abs(float(np.real(eval_terms(dt, np.array([x]))[0]))))
+
+    if math.isinf(b):
+        return quad(f, a, np.inf, limit=400, epsabs=1e-13, epsrel=1e-12)[0]
+    w0 = _real_w0_terms(dt)
+    pts = _laurent_roots(w0, a, b) if w0 else None
+    return quad(f, a, b, points=pts, limit=200, epsabs=1e-13,
+                epsrel=1e-12)[0]
+
+
 def _slope_length(prob: _Problem) -> float:
-    """int_0^b sqrt(max(-phi', 0)), the WKB phase length."""
+    """int_0^b |phi'|^(1/2), the WKB phase length."""
     if prob.closed_form:
         return sum(math.sqrt(c) * (x1 - x0)
                    for (x0, x1, _), c in zip(prob.segments, prob.slopes)
                    if c > 0.0)
-    total = 0.0
-    for x0, x1, dt in prob.segments:
-        if not dt:
-            continue
-        w0 = _real_w0_terms(dt)
-        pts = _laurent_roots(w0, x0, x1) if w0 else None
-
-        def f(x, dt=dt):
-            v = float(np.real(eval_terms(dt, np.array([x]))[0]))
-            return math.sqrt(max(-v, 0.0))
-
-        val, _ = quad(f, x0, x1, points=pts, limit=200, epsabs=1e-13,
-                      epsrel=1e-12)
-        total += val
-    return total
+    return sum(_root_slope_integral(dt, x0, x1)
+               for x0, x1, dt in prob.segments if dt)
 
 
-def _roots_secant(prob: _Problem, targets: np.ndarray) -> np.ndarray:
-    """Bracketed secant on the closed-form angle, one target per component."""
+def _roots_secant(prob: _Problem, targets: np.ndarray, length: float
+                  ) -> np.ndarray:
+    """Illinois regula falsi on the angle, one target per component.
+
+    When the same bracket end moves twice running, the function value kept
+    at the other end is halved; plain regula falsi would otherwise creep
+    towards the root from one side only."""
     K = len(targets)
-    w = targets / _slope_length(prob)
+    w = targets / length
     lo, hi = w * 0.5, w * 1.5
     flo = _theta_end(prob, lo) - targets
     for _ in range(80):
@@ -396,6 +370,7 @@ def _roots_secant(prob: _Problem, targets: np.ndarray) -> np.ndarray:
     else:
         raise RuntimeError("could not bracket from above")
     active = np.ones(K, dtype=bool)
+    moved = np.zeros(K)  # -1: lo moved last, +1: hi moved last
     root = 0.5 * (lo + hi)
     for _ in range(200):
         mid = hi - fhi * (hi - lo) / (fhi - flo)
@@ -409,41 +384,11 @@ def _roots_secant(prob: _Problem, targets: np.ndarray) -> np.ndarray:
             return root
         up = active & (fmid < 0)
         dn = active & (fmid >= 0)
+        fhi[up & (moved < 0)] *= 0.5
+        flo[dn & (moved > 0)] *= 0.5
         lo[up], flo[up] = mid[up], fmid[up]
         hi[dn], fhi[dn] = mid[dn], fmid[dn]
-    raise RuntimeError("angle root search did not converge")
-
-
-def _roots_newton(prob: _Problem, targets: np.ndarray) -> np.ndarray:
-    """Newton iteration through the variational equation, with lazily
-    discovered brackets as a monotonicity safeguard."""
-    K = len(targets)
-    w = targets / _slope_length(prob)
-    root = w.copy()
-    lo = np.zeros(K)
-    hi = np.full(K, math.inf)
-    active = np.ones(K, dtype=bool)
-    for _ in range(80):
-        idx = np.flatnonzero(active)
-        th, dth = _theta_end_ode(prob, w[idx], with_derivative=True)
-        f = th - targets[idx]
-        root[idx] = w[idx]
-        below = idx[f < 0]
-        above = idx[f >= 0]
-        lo[below] = np.maximum(lo[below], w[below])
-        hi[above] = np.minimum(hi[above], w[above])
-        conv = np.abs(f) < _THETA_TOL
-        active[idx[conv]] = False
-        rest = idx[~conv]
-        if rest.size == 0:
-            return root
-        nxt = w[rest] - f[~conv] / np.maximum(dth[~conv], 1e-300)
-        nxt = np.clip(nxt, 0.25 * w[rest], 4.0 * w[rest])
-        bad = ~np.isfinite(nxt) | (nxt <= lo[rest]) | (nxt >= hi[rest])
-        fallback = np.where(np.isfinite(hi[rest]),
-                            0.5 * (lo[rest] + hi[rest]),
-                            2.0 * np.maximum(w[rest], lo[rest]))
-        w[rest] = np.where(bad, fallback, nxt)
+        moved[up], moved[dn] = -1.0, 1.0
     raise RuntimeError("angle root search did not converge")
 
 
@@ -461,10 +406,7 @@ def eigenvalues(s: Symbol, K: int) -> list[EigenResult]:
     L = _slope_length(prob)
     if L <= 0.0:
         raise ValueError("phi has no decreasing part; spectrum is degenerate")
-    if prob.closed_form:
-        root = _roots_secant(prob, targets)
-    else:
-        root = _roots_newton(prob, targets)
+    root = _roots_secant(prob, targets, L)
     resid = _boundary_residuals(s, prob, root)
     return [EigenResult(n, float(root[n]), float(root[n] ** -2.0),
                         float(resid[n])) for n in range(K)]
@@ -488,18 +430,7 @@ def asymptotic_constant(s: Symbol) -> float:
                 raise ValueError("slope is not square-root integrable at 0")
             if math.isinf(b) and max(p for _, p in w0) >= -2:
                 raise ValueError("slope is not square-root integrable at inf")
-        pts = _laurent_roots(w0, a, b) if w0 else None
-
-        def f(x, dt=dt):
-            return math.sqrt(abs(float(np.real(
-                eval_terms(dt, np.array([x]))[0]))))
-
-        if math.isinf(b):
-            val, _ = quad(f, a, np.inf, limit=400, epsabs=1e-13, epsrel=1e-12)
-        else:
-            val, _ = quad(f, a, b, points=pts, limit=200, epsabs=1e-13,
-                          epsrel=1e-12)
-        total += val
+        total += _root_slope_integral(dt, a, b)
     return (total / math.pi) ** 2
 
 

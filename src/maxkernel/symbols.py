@@ -75,6 +75,13 @@ def _check_finite(what: str, xs) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _as_powers(what: str, ps) -> tuple[int, ...]:
+    # int() would silently truncate x^-2.5 to x^-2
+    if not all(float(k).is_integer() for k in ps):
+        raise ValueError(f"{what} must be integers")
+    return tuple(int(k) for k in ps)
+
+
 @dataclass(frozen=True)
 class Step:
     """Step function: value values[i] on (x_{i-1}, x_i], zero beyond."""
@@ -117,8 +124,10 @@ class PiecewisePoly:
         _check_finite("coefficients", [c for p in self.pieces for c in p])
         _check_finite("lowest powers", lowest)
         _check_finite("tail", [v for pair in tail for v in pair])
-        object.__setattr__(self, "lowest", tuple(int(k) for k in lowest))
-        object.__setattr__(self, "tail", tuple((complex(c), int(p)) for c, p in tail))
+        object.__setattr__(self, "lowest", _as_powers("lowest powers", lowest))
+        coefs = [complex(c) for c, _ in tail]
+        powers = _as_powers("tail powers", [p for _, p in tail])
+        object.__setattr__(self, "tail", tuple(zip(coefs, powers)))
         bp = self.breakpoints
         if len(bp) != len(self.pieces) or len(bp) != len(self.lowest):
             raise ValueError("need one coefficient list and lowest power per piece")
@@ -541,7 +550,7 @@ def symbol_from_json(text: str) -> Symbol:
             d["breakpoints"],
             [[_cplx_in(c) for c in p] for p in d["pieces"]],
             d.get("lowest"),
-            [( _cplx_in(c), int(p)) for c, p in d.get("tail", [])])
+            [(_cplx_in(c), p) for c, p in d.get("tail", [])])
     if kind == "trig":
         return TrigPoly(d["period"], [_cplx_in(c) for c in d["coeffs"]],
                         d.get("periodic", False))

@@ -146,10 +146,14 @@ def _dense_det(vals):
                                    allow_infinity=False),
                 min_size=1, max_size=12))
 @example([0j, 1.1e-308])  # np.linalg.det returns nan+nanj here
+# at 50 digits the elimination lost the 2e-275 entry against 1.5 + 1j
+@example([0j, 2.124552158018483e-275, 1.5 + 1j, 1.0])
 @settings(max_examples=80, deadline=None)
 def test_kronecker_det_matches_dense(vals):
     got = classify.kronecker_det(vals)
-    with mpmath.workdps(50):
+    # elimination subtracts entries as far apart as 3 and 5e-324, so the
+    # working precision must span the whole double range
+    with mpmath.workdps(400):
         want = _dense_det(vals)
         # the telescoping product keeps only absolute accuracy once it
         # underflows into subnormals, hence the floor

@@ -108,6 +108,16 @@ def test_verify_unknown_family(capsys):
 def test_parse_error_exit(capsys):
     assert main(["classify", "--symbol", "not json", "--p", "1"]) == 2
     assert main(["classify", "--symbol", AFFINE, "--p", "one"]) == 2
+    for p in ("nan", "inf", "0", "-1", "1,nan"):
+        assert main(["classify", "--symbol", AFFINE, "--p", p]) == 2
+        assert main(["expdemo", "--N", "1", "--p", p]) == 2
+        assert "error: exponents must be positive" in capsys.readouterr().err
+    for cmd in ("sturm", "spectrum", "hankel"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--symbol", AFFINE, "--K", "0"])
+        assert exc.value.code == 2
+        assert "error: argument --K: must be at least 1" in \
+            capsys.readouterr().err
 
 
 def test_non_finite_symbol_exit(capsys):
@@ -115,6 +125,13 @@ def test_non_finite_symbol_exit(capsys):
     assert main(["classify", "--symbol", nan_step, "--p", "1",
                  "--format", "json"]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_non_integer_power_exit(capsys):
+    tail = '{"kind":"ppoly","breakpoints":[1],"pieces":[[]],"tail":[[1.0,-2.5]]}'
+    assert main(["classify", "--symbol", tail, "--p", "1",
+                 "--format", "json"]) == 2
+    assert "tail powers must be integers" in capsys.readouterr().err
 
 
 def test_unwritable_out_exit(tmp_path, capsys):

@@ -62,3 +62,39 @@ def test_private_imports_only_from_piecewise(path):
         bad += [f"{source}.{a.name}" for a in node.names
                 if a.name.startswith("_")]
     assert not bad, f"{path.stem} imports private names {bad}"
+
+
+def _private_defs(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _references(tree, skip=None) -> set:
+    """Names loaded, attributes read and names imported in tree, outside
+    the node skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_private_definitions_are_used(path):
+    trees = {p: _tree(p) for p in MODULES}
+    elsewhere = set().union(*(_references(t) for p, t in trees.items()
+                              if p != path))
+    unused = [d.name for d in _private_defs(trees[path])
+              if d.name not in elsewhere
+              and d.name not in _references(trees[path], skip=d)]
+    assert not unused, f"{path.stem} defines unused private names {unused}"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import airy
 
 from maxkernel import sturm
 from maxkernel.symbols import (Interval, PiecewisePoly, Step,
@@ -64,6 +66,48 @@ def test_ode_route_square(square):
     # WKB envelope: lambda_n (n+1/2)^2 approaches (int sqrt(2(1-x)) / pi)^2
     C = sturm.asymptotic_constant(square)
     assert lam[11] * 11.5 ** 2 == pytest.approx(C, rel=0.05)
+
+
+def test_ode_route_matches_airy_roots(square):
+    # phi = (1 - x)^2 turns G'' = 2 omega^2 (x - 1) G into Airy's equation
+    # in z = -k (1 - x), k = (2 omega^2)^(1/3); G(0) = 0 and g(1) = 0 make
+    # the eigenfrequencies the roots of Ai(-k) Bi'(0) - Bi(-k) Ai'(0)
+    _, aip0, _, bip0 = airy(0.0)
+
+    def det(k):
+        ai, _, bi, _ = airy(-k)
+        return ai * bip0 - bi * aip0
+
+    ks = np.arange(0.5, 35.0, 0.01)
+    vals = det(ks)
+    sign = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[:40]
+    k = np.array([brentq(det, ks[i], ks[i + 1], xtol=1e-15, rtol=1e-15)
+                  for i in sign])
+    want = np.sqrt(k ** 3 / 2.0)
+    assert len(want) == 40
+    res = sturm.eigenvalues(square, 40)
+    assert sturm.prufer_theta(square, 1.0).method == "dop853"
+    got = np.array([r.omega for r in res])
+    assert np.max(np.abs(got / want - 1.0)) < 1e-9
+
+
+def test_root_search_does_not_stall(monkeypatch):
+    # plain regula falsi keeps one bracket end fixed here and needs 161
+    # angle sweeps; Illinois halving bounds the count
+    x = np.linspace(0.0, 1.0, 257)
+    y = (1.0 - x) ** 2
+    slope = np.diff(y) / np.diff(x)
+    s = PiecewisePoly(x[1:], [(y0 - m * x0, m)
+                              for x0, y0, m in zip(x, y, slope)])
+    assert sturm.prufer_theta(s, 1.0).method == "closed-form"
+    calls = []
+    theta_end = sturm._theta_end
+    monkeypatch.setattr(sturm, "_theta_end",
+                        lambda prob, om: calls.append(1) or
+                        theta_end(prob, om))
+    res = sturm.eigenvalues(s, 201)
+    assert len(calls) <= 30
+    assert all(r.boundary_residual < 1e-9 for r in res)
 
 
 def test_asymptotic_constants(affine, square, tent):

@@ -125,6 +125,10 @@ def test_constructor_rejections():
         Step([-1.0], [1.0])               # nonpositive breakpoint
     with pytest.raises(ValueError):
         PiecewisePoly([1.0], [[1.0]], tail=[(1.0, 0)])  # tail must decay
+    with pytest.raises(ValueError, match="integers"):
+        PiecewisePoly([1.0], [()], tail=[(1.0, -2.5)])  # not truncated to -2
+    with pytest.raises(ValueError, match="integers"):
+        PiecewisePoly([1.0], [[1.0]], lowest=[0.5])     # not truncated to 0
     with pytest.raises(ValueError):
         Sampled((0.0, 1.0), (1.0, 2.0), "pl")  # grid must be positive
     with pytest.raises(ValueError):
