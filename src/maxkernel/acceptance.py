@@ -58,7 +58,7 @@ def _eigs(s: Symbol, key: str):
 
 def check_exact_spectrum(tol=None) -> CheckResult:
     """Shooting eigenvalues of the affine symbol hit the closed form
-    pi^-2 (n+1/2)^-2, and the dense discretization reproduces them."""
+    pi^-2 (n+1/2)^-2, and the Galerkin discretization reproduces them."""
     rtol = 1e-8 if tol is None else tol
     t0 = time.perf_counter()
     res = _eigs(_AFFINE, "affine")[:21]
@@ -68,7 +68,7 @@ def check_exact_spectrum(tol=None) -> CheckResult:
     exact = 1.0 / (np.pi * (n + 0.5)) ** 2
     dev = float(np.max(np.abs(lam / exact - 1.0)))
     gm = discretize.galerkin_matrix(_AFFINE, n=4096)
-    sv, _ = discretize.singular_values(gm)
+    sv, _ = discretize.singular_values(gm, 21)
     dev_g = float(np.max(np.abs(sv[:21] / exact - 1.0)))
     ok = dev < rtol and solve_t < 5.0 and dev_g < 1e-3
     return CheckResult(

@@ -325,7 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed the usage error
+        return e.code
     try:
         return args.fn(args)
     except SystemExit as e:

@@ -7,22 +7,30 @@ entry reduces to one of two 1-D integrals per cell,
     m_i = int_{cell i} phi,        w_i = int_{cell i} (x - a_i) phi(x) dx,
 
 both computed exactly piece by piece.  Off-diagonal entries couple cells only
-through m, so the full matrix is assembled as lower + lower^T and the
-triangular (masked) matrix is the lower factor itself.
+through m: entry (i, j) of the lower factor is u_i v_j below the diagonal,
+with u = m / sqrt(h) and v = sqrt(h), and w_i / h_i on it.  The full matrix
+is lower + lower^T, order-1 semiseparable plus diagonal, and the triangular
+(masked) matrix is the lower factor itself.  A GalerkinMatrix holds these
+generators, applies itself to a vector with two cumulative sums, and builds
+the dense n x n array only when asked.
 
-Spectra come from three routes that cross-check each other: dense symmetric
-eigensolves on refined grids, exact finite-rank formulas for step symbols,
-and Richardson extrapolation in the grid size for the triangular part.
+Spectra come from three routes that cross-check each other: Galerkin
+spectra on refined grids (ARPACK Lanczos on the O(n) operator for the top K
+values, a dense symmetric eigensolve when every value is needed), exact
+finite-rank formulas for step symbols, and Richardson extrapolation in the
+grid size for the triangular part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh, svdvals
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ._piecewise import (derivative_terms, eval_terms, integrate_terms_nodes,
                          mul_terms)
@@ -36,16 +44,64 @@ __all__ = [
     "schatten", "triangular_limit", "factor_residual", "truncation_point",
 ]
 
-MAX_DENSE = 4096  # dense solves above this are out of contract
+MAX_DENSE = 4096  # dense solves (every singular value) above this are refused
 
 
 @dataclass(frozen=True)
 class GalerkinMatrix:
+    """Galerkin matrix held as its generators: the cell integrals m and w
+    on the cells between the nodes.
+
+    matvec and rmatvec apply the matrix and its transpose in O(n); entries
+    is the dense array, built on first access.
+    """
     interval: Interval
     n: int
     nodes: np.ndarray
-    entries: np.ndarray
+    m: np.ndarray
+    w: np.ndarray
     mask: str  # "full" | "lower"
+
+    @cached_property
+    def _uvd(self):
+        """u = m / sqrt(h) and v = sqrt(h), the lower factor's off-diagonal
+        generators, and its diagonal d = w / h."""
+        h = np.diff(self.nodes)
+        rh = np.sqrt(h)
+        return self.m / rh, rh, self.w / h
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        u, v, d = self._uvd
+        lower = np.tril(np.outer(u, v), -1)
+        np.fill_diagonal(lower, d)
+        return lower if self.mask == "lower" else lower + lower.T
+
+    def _below(self, x):
+        """Strictly lower part applied to x: u_i sum_{j<i} v_j x_j."""
+        u, v, _ = self._uvd
+        vx = v * x
+        return u * np.concatenate(([0.0], np.cumsum(vx[:-1])))
+
+    def _above(self, x):
+        """Strictly upper part of the lower factor's transpose applied to x:
+        v_j sum_{i>j} u_i x_i."""
+        u, v, _ = self._uvd
+        ux = (u * x)[::-1]
+        return v * np.concatenate((np.cumsum(ux[:-1])[::-1], [0.0]))
+
+    def matvec(self, x) -> np.ndarray:
+        """entries @ x in O(n)."""
+        _, _, d = self._uvd
+        if self.mask == "lower":
+            return self._below(x) + d * x
+        return self._below(x) + self._above(x) + 2.0 * d * x
+
+    def rmatvec(self, x) -> np.ndarray:
+        """x @ entries, i.e. entries.T @ x (no conjugation), in O(n)."""
+        if self.mask == "full":
+            return self.matvec(x)
+        return self._above(x) + self._uvd[2] * x
 
 
 @dataclass(frozen=True)
@@ -118,15 +174,6 @@ def _grid(interval: Interval, n: int, grid) -> np.ndarray:
     raise ValueError(f"unknown grid {grid!r}")
 
 
-def _lower_factor(m: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Lower Galerkin factor from the cell integrals: m_i sqrt(h_j / h_i)
-    below the diagonal, w_i / h_i on it."""
-    rh = np.sqrt(h)
-    lower = np.tril(np.outer(m / rh, rh), -1)
-    np.fill_diagonal(lower, w / h)
-    return lower
-
-
 def galerkin_matrix(s: Symbol, interval=None, n: int = 256,
                     grid: str = "uniform", mask: str = "full") -> GalerkinMatrix:
     """Galerkin matrix of the kernel on normalized cell indicators.
@@ -152,25 +199,60 @@ def galerkin_matrix(s: Symbol, interval=None, n: int = 256,
     m, w = _cell_integrals(s, nodes)
     if is_real_symbol(s):
         m, w = m.real, w.real
-    lower = _lower_factor(m, w, np.diff(nodes))
-    entries = lower if mask == "lower" else lower + lower.T
-    return GalerkinMatrix(interval, n, nodes, entries, mask)
+    return GalerkinMatrix(interval, n, nodes, m, w, mask)
 
 
-def singular_values(gm: GalerkinMatrix):
+def _uses_lanczos(gm: GalerkinMatrix, k: Optional[int]) -> bool:
+    """Whether singular_values(gm, k) runs Lanczos: only k < n - 1, since
+    ARPACK cannot return every eigenvalue of an operator."""
+    return k is not None and k < gm.n - 1
+
+
+def _top_eigs(matvec, n: int, k: int, dtype) -> np.ndarray:
+    """k eigenvalues of largest modulus of a Hermitian operator by ARPACK
+    Lanczos.  The start vector is fixed, so repeated calls agree bit for
+    bit (random rather than constant, which can miss an eigenvector)."""
+    op = LinearOperator((n, n), matvec=matvec, dtype=dtype)
+    v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
+    return eigsh(op, k, which="LM", v0=v0, return_eigenvectors=False)
+
+
+def singular_values(gm: GalerkinMatrix, k: Optional[int] = None):
     """Descending singular values; eigenvalues too when the matrix is
-    symmetric real (full mask, real symbol)."""
-    A = gm.entries
-    if gm.n > MAX_DENSE:
+    symmetric real (full mask, real symbol).
+
+    With k None, every value by a dense solve, refused above MAX_DENSE.
+    With k given, the k largest by Lanczos on the O(n) operator, with no
+    size cap: on the matrix itself when it is symmetric real, otherwise on
+    its Gram operator A^H A, whose eigenvalues are the squared singular
+    values.  Grids with n <= k + 1 go dense.
+    """
+    if k is not None and k < 1:
+        raise ValueError("k must be at least 1")
+    n = gm.n
+    if _uses_lanczos(gm, k):
+        if gm.mask == "full" and not np.iscomplexobj(gm.m):
+            eigs = _top_eigs(gm.matvec, n, k, float)
+            order = np.argsort(-np.abs(eigs))
+            return np.abs(eigs)[order], eigs[order]
+        sq = _top_eigs(lambda x: np.conj(gm.rmatvec(np.conj(gm.matvec(x)))),
+                       n, k, gm.m.dtype)
+        return np.sqrt(np.maximum(np.sort(sq)[::-1], 0.0)), None
+    if n > MAX_DENSE:
         raise ValueError(f"dense solve capped at n = {MAX_DENSE}")
+    A = gm.entries
     if np.iscomplexobj(A):
-        return svdvals(A), None
-    if gm.mask == "full":
+        sv, eigs = svdvals(A), None
+    elif gm.mask == "full":
         eigs = eigvalsh(A)
         order = np.argsort(-np.abs(eigs))
-        return np.abs(eigs)[order], eigs[order]
-    sq = eigvalsh(A @ A.T)
-    return np.sqrt(np.maximum(sq, 0.0))[::-1], None
+        sv, eigs = np.abs(eigs)[order], eigs[order]
+    else:
+        sq = eigvalsh(A @ A.T)
+        sv, eigs = np.sqrt(np.maximum(sq, 0.0))[::-1], None
+    if k is None:
+        return sv, eigs
+    return sv[:k], None if eigs is None else eigs[:k]
 
 
 def truncation_point(s: Symbol, eps: float = 1e-6) -> float:
@@ -214,8 +296,11 @@ def spectrum(s: Symbol, interval=None, n0: int = 256, tol: float = 1e-6,
     """Grid-doubling Galerkin spectrum, stopping when the first K singular
     values have settled to tol relative to s_0.
 
-    Raises RuntimeError("no-convergence") when the dense-solve cap is hit or
-    the doubling budget runs out first.
+    Each level solves for the top K values only (singular_values(gm, K)),
+    so the estimate holds those K values, not all n; method names the route
+    of the last level, "galerkin-lanczos" or "galerkin-dense" (grids with
+    n <= K + 1).  Raises RuntimeError("no-convergence") when the doubling
+    budget runs out first.
 
     Unbounded supports are truncated where the tail functional falls below
     (0.1 tol)^2, and the cells are then graded (geometric toward the cut)
@@ -236,23 +321,22 @@ def spectrum(s: Symbol, interval=None, n0: int = 256, tol: float = 1e-6,
         interval = Interval(*interval)
     history = []
     prev = None
-    n = n0
-    for _ in range(max_doublings + 1):
+    for level in range(max_doublings + 1):
+        n = n0 * 2 ** level
         use_grid = _graded_nodes(s, interval.hi, n) if graded else grid
         gm = galerkin_matrix(s, interval, n, grid=use_grid, mask=mask)
-        svals, eigs = singular_values(gm)
-        history.append((n, svals[:K].copy()))
+        svals, eigs = singular_values(gm, K)
+        history.append((n, svals))
         if prev is not None:
-            k = min(K, len(prev), len(svals))
+            k = min(len(prev), len(svals))
             scale = max(float(svals[0]), 1e-300)
             if np.all(np.abs(svals[:k] - prev[:k]) <= tol * scale):
+                method = ("galerkin-lanczos" if _uses_lanczos(gm, K)
+                          else "galerkin-dense")
                 return SpectrumEstimate(
-                    svals, "galerkin", n, interval, mask=mask, eigs=eigs,
+                    svals, method, n, interval, mask=mask, eigs=eigs,
                     refinement_history=tuple(history), meta=meta)
         prev = svals
-        if 2 * n > MAX_DENSE:
-            break
-        n *= 2
     raise RuntimeError(
         f"no-convergence: tracked singular values still moving at n = {n}")
 
@@ -287,7 +371,10 @@ def step_exact_spectrum(s: Symbol) -> SpectrumEstimate:
 
 def schatten(est: SpectrumEstimate, p: float) -> SchattenReport:
     """Schatten-p norm, weak-p quasinorm sup s_n (1+n)^(1/p), and a crude
-    tail bound read off the refinement history."""
+    tail bound read off the refinement history.
+
+    Sums run over the values the estimate holds: the K values spectrum()
+    certified, so the norm omits the tail past s_{K-1}."""
     if p <= 0:
         raise ValueError("p must be positive")
     sv = np.asarray(est.svals, dtype=float)
@@ -390,7 +477,8 @@ def factor_residual(s: Symbol, n: int = 2048, interval=None) -> float:
     For real nonincreasing nonnegative phi with bounded support the operator
     factors through the triangular part of psi = (-phi')^(1/2), so
     M - V^T V -> 0 under refinement, where M is the full Galerkin matrix of
-    phi and V the lower one of psi.  Returns ||M - V^T V||_2 / ||M||_2.
+    phi and V the lower one of psi.  Returns ||M - V^T V||_2 / ||M||_2, both
+    norms by Lanczos on the O(n) operators.
     """
     if not is_real_symbol(s):
         raise ValueError("factorization needs a real symbol")
@@ -403,12 +491,12 @@ def factor_residual(s: Symbol, n: int = 2048, interval=None) -> float:
         interval = Interval(0.0, sup.hi)
     elif not isinstance(interval, Interval):
         interval = Interval(*interval)
-    M = galerkin_matrix(s, interval, n, mask="full").entries
-    nodes = np.linspace(interval.lo, interval.hi, n + 1)
-    V = _lower_factor(*_sqrt_slope_cell_integrals(s, nodes), np.diff(nodes))
-    R = M - V.T @ V
-    num = float(np.max(np.abs(eigvalsh(R))))
-    den = float(np.max(np.abs(eigvalsh(M))))
+    M = galerkin_matrix(s, interval, n, mask="full")
+    V = GalerkinMatrix(M.interval, M.n, M.nodes,
+                       *_sqrt_slope_cell_integrals(s, M.nodes), "lower")
+    den = float(singular_values(M, 1)[0][0])
     if den == 0.0:
         return 0.0
+    num = abs(float(_top_eigs(lambda x: M.matvec(x) - V.rmatvec(V.matvec(x)),
+                              M.n, 1, float)[0]))
     return num / den

@@ -113,11 +113,14 @@ def test_parse_error_exit(capsys):
         assert main(["expdemo", "--N", "1", "--p", p]) == 2
         assert "error: exponents must be positive" in capsys.readouterr().err
     for cmd in ("sturm", "spectrum", "hankel"):
-        with pytest.raises(SystemExit) as exc:
-            main([cmd, "--symbol", AFFINE, "--K", "0"])
-        assert exc.value.code == 2
+        assert main([cmd, "--symbol", AFFINE, "--K", "0"]) == 2
         assert "error: argument --K: must be at least 1" in \
             capsys.readouterr().err
+        assert main([cmd, "--symbol", AFFINE, "--K", "abc"]) == 2
+        assert "error: argument --K: invalid" in capsys.readouterr().err
+    assert main(["classify", "--symbol", AFFINE, "--format", "xml"]) == 2
+    assert "error: argument --format: invalid choice" in \
+        capsys.readouterr().err
 
 
 def test_non_finite_symbol_exit(capsys):

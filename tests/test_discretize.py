@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxkernel import discretize
-from maxkernel.symbols import Interval, PiecewisePoly, Step
+from maxkernel.symbols import Interval, PiecewisePoly, Step, TrigPoly
 
 from conftest import random_step
 
@@ -60,8 +60,23 @@ def test_spectrum_converges(affine):
     est = discretize.spectrum(affine, n0=128, tol=1e-6, K=8)
     n = np.arange(8)
     exact = 1.0 / (np.pi * (n + 0.5)) ** 2
-    assert np.max(np.abs(est.svals[:8] / exact - 1.0)) < 1e-4
+    assert len(est.svals) == 8 and est.method == "galerkin-lanczos"
+    assert np.max(np.abs(est.svals / exact - 1.0)) < 1e-4
     assert len(est.refinement_history) >= 2
+
+
+def test_spectrum_refines_past_dense_cap(affine):
+    # the top values move by 3.7e-8 s_0 from n = 2048 to 4096 and by
+    # 9.2e-9 s_0 from 4096 to 8192
+    est = discretize.spectrum(affine, n0=256, tol=1e-8, K=4)
+    assert est.n == 8192
+    exact = 1.0 / (np.pi * (np.arange(4) + 0.5)) ** 2
+    assert np.max(np.abs(est.svals / exact - 1.0)) < 1e-6
+
+
+def test_spectrum_small_grid_is_dense(affine):
+    est = discretize.spectrum(affine, n0=4, tol=1e-2, K=8)
+    assert est.method == "galerkin-dense" and est.n <= 9
 
 
 def test_spectrum_budget_exhaustion(affine):
@@ -85,7 +100,9 @@ def test_truncation_point(inv_square_tail, affine, inv_tail):
 
 
 def test_schatten_report(affine):
-    est = discretize.spectrum(affine, n0=256, tol=1e-6, K=16)
+    # schatten sums the values spectrum certifies; the S1 tail past K = 200
+    # is about 5e-4, inside the tolerance below
+    est = discretize.spectrum(affine, n0=256, tol=1e-6, K=200)
     r1 = discretize.schatten(est, 1.0)
     # S1 = trace = 1/2 for this shape
     assert r1.norm == pytest.approx(0.5, rel=2e-3)
@@ -141,6 +158,8 @@ def test_dense_cap(affine):
     gm = discretize.galerkin_matrix(affine, n=discretize.MAX_DENSE + 1)
     with pytest.raises(ValueError):
         discretize.singular_values(gm)
+    sv, _ = discretize.singular_values(gm, 4)
+    assert len(sv) == 4
 
 
 def test_conforming_grid_is_exact_for_steps():
@@ -151,3 +170,104 @@ def test_conforming_grid_is_exact_for_steps():
     gm = discretize.galerkin_matrix(s, grid=nodes)
     sv, _ = discretize.singular_values(gm)
     assert np.max(np.abs(sv[:3] / exact - 1.0)) < 1e-12
+
+
+def _random_symbol(rng, kind):
+    if kind == "step":
+        return random_step(rng)
+    if kind == "trig":
+        c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        return TrigPoly(float(rng.uniform(0.5, 2.0)), c)
+    n = int(rng.integers(1, 5))
+    cuts = np.cumsum(rng.uniform(0.1, 1.0, size=n))
+    pieces = [rng.standard_normal(int(rng.integers(1, 4))) for _ in range(n)]
+    if kind == "complex":
+        pieces = [p + 1j * rng.standard_normal(len(p)) for p in pieces]
+    return PiecewisePoly(cuts, pieces)
+
+
+def _random_matrix(seed, kind, mask, grid, n):
+    rng = np.random.default_rng(seed)
+    s = _random_symbol(rng, kind)
+    hi = discretize.support(s).hi
+    if grid == "geometric":
+        return discretize.galerkin_matrix(s, (0.05 * hi, hi), n, grid=grid,
+                                          mask=mask)
+    if grid == "explicit":
+        nodes = np.sort(rng.uniform(0.0, hi, size=n + 1))
+        return discretize.galerkin_matrix(s, grid=nodes, mask=mask)
+    return discretize.galerkin_matrix(s, n=n, mask=mask)
+
+
+KINDS = ("step", "ppoly", "complex", "trig")
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KINDS),
+       st.sampled_from(("full", "lower")),
+       st.sampled_from(("uniform", "geometric", "explicit")),
+       st.integers(1, 80))
+@settings(max_examples=60, deadline=None)
+def test_structured_matvec_matches_dense(seed, kind, mask, grid, n):
+    gm = _random_matrix(seed, kind, mask, grid, n)
+    A = gm.entries
+    rng = np.random.default_rng(seed + 1)
+    x = rng.standard_normal(gm.n) + 1j * rng.standard_normal(gm.n)
+    scale = np.linalg.norm(A, 2) * np.linalg.norm(x) + 1e-300
+    assert np.linalg.norm(gm.matvec(x) - A @ x) <= 1e-13 * scale
+    assert np.linalg.norm(gm.rmatvec(x) - A.T @ x) <= 1e-13 * scale
+    assert np.linalg.norm(gm.matvec(x.real) - A @ x.real) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("mask", ["full", "lower"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_lanczos_matches_dense(kind, mask):
+    gm = _random_matrix(7, kind, mask, "uniform", 1024)
+    sv, eigs = discretize.singular_values(gm)
+    top, top_eigs = discretize.singular_values(gm, 16)
+    assert len(top) == 16
+    assert np.max(np.abs(top - sv[:16])) <= 1e-12 * sv[0]
+    if eigs is None:
+        assert top_eigs is None
+    else:
+        assert np.max(np.abs(top_eigs - eigs[:16])) <= 1e-12 * sv[0]
+
+
+def test_signed_eigs_match_dense():
+    # a sign-changing step: the full matrix has eigenvalues of both signs
+    gm = discretize.galerkin_matrix(Step([0.4, 1.0], [2.0, -1.5]), n=512)
+    _, eigs = discretize.singular_values(gm)
+    _, top = discretize.singular_values(gm, 12)
+    assert np.any(top < 0) and np.any(top > 0)
+    assert np.max(np.abs(top - eigs[:12])) <= 1e-12 * abs(eigs[0])
+
+
+@pytest.mark.parametrize("kind", ["ppoly", "complex"])
+def test_lanczos_small_grid_goes_dense(kind):
+    gm = _random_matrix(3, kind, "lower", "uniform", 9)
+    sv, _ = discretize.singular_values(gm)
+    for k in (8, 9, 20):
+        top, _ = discretize.singular_values(gm, k)
+        assert np.array_equal(top, sv[:k])
+
+
+def test_lanczos_is_deterministic():
+    for kind, mask in (("ppoly", "full"), ("complex", "lower")):
+        gm = _random_matrix(11, kind, mask, "uniform", 600)
+        a, ea = discretize.singular_values(gm, 10)
+        b, eb = discretize.singular_values(gm, 10)
+        assert np.array_equal(a, b)
+        assert (ea is None and eb is None) or np.array_equal(ea, eb)
+
+
+def test_lanczos_far_past_dense_cap(affine):
+    n = 100_000
+    sv, eigs = discretize.singular_values(
+        discretize.galerkin_matrix(affine, n=n), 8)
+    exact = 1.0 / (np.pi * (np.arange(8) + 0.5)) ** 2
+    assert np.max(np.abs(sv / exact - 1.0)) < 1e-6
+    assert np.all(eigs > 0)
+
+
+def test_singular_values_rejects_k_below_one(affine):
+    with pytest.raises(ValueError):
+        discretize.singular_values(discretize.galerkin_matrix(affine, n=8), 0)
