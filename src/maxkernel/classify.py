@@ -604,6 +604,14 @@ def kronecker_det(a) -> complex:
 # assembled decision procedure
 
 
+def _decisive(name: str, value: float) -> float:
+    """value itself; a NaN norm decides nothing, so it raises instead of
+    falling on one side of an isfinite or isinf test."""
+    if math.isnan(value):
+        raise ValueError(f"{name} norm is NaN (the symbol overflows)")
+    return value
+
+
 def classify_schatten(s: Symbol, p: float) -> Verdict:
     """Three-valued Schatten-class verdict at exponent p.
 
@@ -618,25 +626,25 @@ def classify_schatten(s: Symbol, p: float) -> Verdict:
     if not (p > 0) or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")
     if p > 1:
-        xp = x_p_integral(s, p)
+        xp = _decisive("x_p", x_p_integral(s, p))
         return Verdict(IN if math.isfinite(xp) else OUT, "xp-norm",
                        {"x_p": xp, "form": "integral"})
     if p > 0.5:
         if is_nonnegative(s) and is_nonincreasing(s):
-            m = monotone_profile_norm(s, p)
+            m = _decisive("profile", monotone_profile_norm(s, p))
             return Verdict(IN if math.isfinite(m) else OUT,
                            "monotone-profile", {"profile_integral": m})
         try:
             yp = y_p_norm(s, p)
         except ValueError:
             yp = None
-        if yp is not None and math.isfinite(yp):
+        if yp is not None and math.isfinite(_decisive("y_p", yp)):
             return Verdict(IN, "yp-variation", {"y_p": yp})
         if p == 1 and support(s).bounded:
-            dini = dini_integral(s)
+            dini = _decisive("dini", dini_integral(s))
             if math.isfinite(dini):
                 return Verdict(IN, "dini-l2-modulus", {"dini": dini})
-        xp = x_p_integral(s, p)
+        xp = _decisive("x_p", x_p_integral(s, p))
         if math.isinf(xp):
             return Verdict(OUT, "xp-divergence", {"x_p": xp})
         norms = {"x_p": xp}

@@ -18,7 +18,11 @@ Spectra come from three routes that cross-check each other: Galerkin
 spectra on refined grids (ARPACK Lanczos on the O(n) operator for the top K
 values, a dense symmetric eigensolve when every value is needed), exact
 finite-rank formulas for step symbols, and Richardson extrapolation in the
-grid size for the triangular part.
+grid size for the triangular part.  For a real symbol the dense eigensolve
+reads one lower triangle filled from the generators in O(n^2): the full
+matrix itself, or for the lower mask the Gram matrix L L^T, which is again
+order-1 semiseparable plus diagonal.  Only complex symbols (an SVD) and the
+tests read the dense entries.
 """
 
 from __future__ import annotations
@@ -71,11 +75,28 @@ class GalerkinMatrix:
         return self.m / rh, rh, self.w / h
 
     @cached_property
+    def _prefix(self) -> np.ndarray:
+        """S_j = sum_{k<j} v_k^2, the exclusive prefix sums of v^2."""
+        v2 = self._uvd[1] ** 2
+        return np.concatenate(([0.0], np.cumsum(v2[:-1])))
+
+    @cached_property
     def entries(self) -> np.ndarray:
         u, v, d = self._uvd
         lower = np.tril(np.outer(u, v), -1)
         np.fill_diagonal(lower, d)
         return lower if self.mask == "lower" else lower + lower.T
+
+    def frobenius_norm(self) -> float:
+        """Frobenius norm of entries in O(n): the strictly lower part
+        contributes sum_i |u_i|^2 S_i, and the full matrix holds it twice
+        with diagonal 2d."""
+        u, _, d = self._uvd
+        below = float(np.sum(np.abs(u) ** 2 * self._prefix))
+        diag = float(np.sum(np.abs(d) ** 2))
+        if self.mask == "full":
+            below, diag = 2.0 * below, 4.0 * diag
+        return math.sqrt(below + diag)
 
     def _below(self, x):
         """Strictly lower part applied to x: u_i sum_{j<i} v_j x_j."""
@@ -149,7 +170,8 @@ def _cell_integrals(s: Symbol, nodes: np.ndarray):
         pts = np.concatenate([[lo], inner, [hi]])
         mm = integrate_terms_nodes(terms, pts)
         xm = integrate_terms_nodes(mul_terms(terms, x_terms), pts)
-        idx = np.searchsorted(nodes, 0.5 * (pts[:-1] + pts[1:])) - 1
+        # by left ends: a midpoint can overflow to inf near the float limit
+        idx = np.searchsorted(nodes, pts[:-1], side="right") - 1
         np.add.at(m, idx, mm)
         np.add.at(w, idx, xm - nodes[idx] * mm)
     return m, w
@@ -197,6 +219,9 @@ def galerkin_matrix(s: Symbol, interval=None, n: int = 256,
         interval = Interval(float(nodes[0]), float(nodes[-1]))
         n = len(nodes) - 1
     m, w = _cell_integrals(s, nodes)
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(w))):
+        raise ValueError("non-finite cell integral: the symbol overflows "
+                         "or is not integrable on the grid")
     if is_real_symbol(s):
         m, w = m.real, w.real
     return GalerkinMatrix(interval, n, nodes, m, w, mask)
@@ -215,6 +240,26 @@ def _top_eigs(matvec, n: int, k: int, dtype) -> np.ndarray:
     op = LinearOperator((n, n), matvec=matvec, dtype=dtype)
     v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
     return eigsh(op, k, which="LM", v0=v0, return_eigenvectors=False)
+
+
+def _dense_lower(gm: GalerkinMatrix) -> np.ndarray:
+    """n x n array whose lower triangle is the real symmetric matrix the
+    dense route solves: entries itself for the full mask, the Gram matrix
+    L L^T for the lower mask L.  The upper triangle is left unset.
+
+    L L^T is order-1 semiseparable plus diagonal: entry (i, j) for i > j is
+    u_i p_j with p = u S + v d, and its diagonal is u^2 S + d^2, so no n^3
+    product is formed.
+    """
+    u, v, d = gm._uvd
+    if gm.mask == "full":
+        a = np.outer(u, v)
+        np.fill_diagonal(a, 2.0 * d)
+        return a
+    S = gm._prefix
+    a = np.outer(u, u * S + v * d)
+    np.fill_diagonal(a, u * u * S + d * d)
+    return a
 
 
 def singular_values(gm: GalerkinMatrix, k: Optional[int] = None):
@@ -240,16 +285,15 @@ def singular_values(gm: GalerkinMatrix, k: Optional[int] = None):
         return np.sqrt(np.maximum(np.sort(sq)[::-1], 0.0)), None
     if n > MAX_DENSE:
         raise ValueError(f"dense solve capped at n = {MAX_DENSE}")
-    A = gm.entries
-    if np.iscomplexobj(A):
-        sv, eigs = svdvals(A), None
-    elif gm.mask == "full":
-        eigs = eigvalsh(A)
-        order = np.argsort(-np.abs(eigs))
-        sv, eigs = np.abs(eigs)[order], eigs[order]
+    if np.iscomplexobj(gm.m):
+        sv, eigs = svdvals(gm.entries), None
     else:
-        sq = eigvalsh(A @ A.T)
-        sv, eigs = np.sqrt(np.maximum(sq, 0.0))[::-1], None
+        lam = eigvalsh(_dense_lower(gm), lower=True, overwrite_a=True)
+        if gm.mask == "full":
+            order = np.argsort(-np.abs(lam))
+            sv, eigs = np.abs(lam)[order], lam[order]
+        else:
+            sv, eigs = np.sqrt(np.maximum(lam, 0.0))[::-1], None
     if k is None:
         return sv, eigs
     return sv[:k], None if eigs is None else eigs[:k]

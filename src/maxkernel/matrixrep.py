@@ -141,6 +141,9 @@ def hankel_window(c: FourierCoefficients, M: int = None) -> HankelWindow:
     reach = [k for k in range(-2 * M + 1, 2 * M + 2) if -Mc <= k <= Mc]
     got = float(sum(v[k + Mc] for k in reach))
     coverage = 1.0 if total == 0.0 else got / total
+    if math.isnan(coverage):
+        raise ValueError("window coverage is NaN: the coefficient energy "
+                         "overflows")
     return HankelWindow(M, ent, coverage)
 
 

@@ -542,6 +542,9 @@ def symbol_to_json(s: Symbol) -> str:
 
 def symbol_from_json(text: str) -> Symbol:
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError(f"symbol JSON must be an object, not "
+                         f"{type(d).__name__}")
     kind = d.get("kind")
     if kind == "step":
         return Step(d["breakpoints"], [_cplx_in(v) for v in d["values"]])

@@ -172,3 +172,29 @@ def test_scaling_keeps_verdicts(seed, scale):
     for p in (0.4, 1.0, 2.0):
         assert classify.classify_schatten(s, p).verdict == \
             classify.classify_schatten(t, p).verdict
+
+
+_HUGE = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@st.composite
+def _extreme_symbols(draw):
+    n = draw(st.integers(1, 3))
+    cuts = np.cumsum(draw(st.lists(st.floats(0.1, 2.0), min_size=n,
+                                   max_size=n)))
+    if draw(st.booleans()):
+        return Step(cuts, draw(st.lists(_HUGE, min_size=n, max_size=n)))
+    return PiecewisePoly(cuts, [draw(st.lists(_HUGE, min_size=1, max_size=3))
+                                for _ in range(n)])
+
+
+@given(_extreme_symbols(), st.sampled_from((2.0, 1.0, 0.75, 0.4)))
+@example(PiecewisePoly([1.0], [[1e300, 1e300]]), 2.0)  # x_p overflows to NaN
+@settings(max_examples=80, deadline=None)
+def test_no_verdict_from_nan(s, p):
+    try:
+        v = classify.classify_schatten(s, p)
+    except ValueError:
+        return
+    assert not any(math.isnan(x) for x in v.norms.values()
+                   if isinstance(x, float))

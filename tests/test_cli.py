@@ -107,6 +107,9 @@ def test_verify_unknown_family(capsys):
 
 def test_parse_error_exit(capsys):
     assert main(["classify", "--symbol", "not json", "--p", "1"]) == 2
+    for text in ("[1,2]", '"step"', "3", "null"):  # JSON, not an object
+        assert main(["classify", "--symbol", text, "--p", "1"]) == 2
+        assert "must be an object" in capsys.readouterr().err
     assert main(["classify", "--symbol", AFFINE, "--p", "one"]) == 2
     for p in ("nan", "inf", "0", "-1", "1,nan"):
         assert main(["classify", "--symbol", AFFINE, "--p", p]) == 2
@@ -149,6 +152,17 @@ def test_numeric_error_exit(capsys):
     assert main(["spectrum", "--symbol", INV_TAIL]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:")
+    # cell integrals overflow; the last cell's midpoint overflowed too
+    huge_step = '{"kind":"step","breakpoints":[1e308],"values":[1e308]}'
+    assert main(["spectrum", "--symbol", huge_step]) == 3
+    assert "non-finite cell integral" in capsys.readouterr().err
+    # |phi|^2 overflows, so the x_p norm and the window coverage are NaN
+    huge = '{"kind":"ppoly","breakpoints":[1],"pieces":[[1e300,1e300]]}'
+    assert main(["classify", "--symbol", huge, "--p", "2,1,0.4",
+                 "--format", "json"]) == 3
+    assert "x_p norm is NaN" in capsys.readouterr().err
+    assert main(["hankel", "--symbol", huge, "--format", "json"]) == 3
+    assert "coverage is NaN" in capsys.readouterr().err
 
 
 def test_exp_method_requires_N(capsys):
