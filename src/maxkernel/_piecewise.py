@@ -1,12 +1,21 @@
 """Closed-form piece algebra shared by the public modules.
 
 Every symbol lowers to a list of pieces ``(a, b, terms)`` covering its
-support, with ``b = inf`` allowed for the last piece.  A term is a triple
-``(coef, power, freq)`` representing ``coef * x**power * exp(1j*freq*x)``
-with integer ``power`` (negative allowed) and real ``freq``.  This family
-is closed under products and conjugation, which is what makes exact
-L2 cell integrals, tail integrals and Fourier coefficients possible for
-all four symbol variants.
+support.  A term is a triple ``(coef, power, freq)`` representing
+``coef * x**power * exp(1j*freq*x)`` with integer ``power`` (negative
+allowed) and real ``freq``.  This family is closed under products and
+conjugation, which is what makes exact L2 cell integrals, tail integrals
+and Fourier coefficients possible for all four symbol variants.
+
+This module owns the piece conventions, so no caller re-implements them:
+  * pieces are left-open, right-closed, and support gaps count as 0:
+    ``eval_pieces`` evaluates, ``cut_values`` gives the left and right
+    value at every cut, and ``with_gaps`` tiles (0, end] with the gaps
+    filled by pieces that have no terms;
+  * the last piece may run to b = inf: ``integrate_terms`` takes b = inf
+    and raises ValueError on a divergent tail;
+  * ``coef_scale`` is the largest coefficient modulus, the scale that
+    tolerances on piece values are taken relative to.
 
 Antiderivatives:
   * freq == 0: power rule (log at power == -1)
@@ -16,8 +25,7 @@ Antiderivatives:
     Laurent pieces, which none of the standard constructions produce).
 
 Real Laurent pieces (real coefficients, freq == 0) also get exact roots,
-end limits and value ranges here, and every module reads right limits at
-cut points through ``_right_value``.
+end limits and value ranges here.
 """
 
 from __future__ import annotations
@@ -121,7 +129,10 @@ class _NoElementary(Exception):
 
 
 def integrate_terms(terms: Sequence[Term], a: float, b: float) -> complex:
-    """Exact integral over the finite interval [a, b], quad fallback."""
+    """Exact integral over [a, b], quad fallback; b = inf is the tail
+    integral of integrate_terms_to_inf."""
+    if math.isinf(b):
+        return integrate_terms_to_inf(terms, a)
     if a == b:
         return 0.0
     try:
@@ -192,6 +203,38 @@ def _right_value(pieces: Sequence[Piece], c: float) -> complex:
         if a <= c < b:
             return complex(eval_terms(terms, np.array([c]))[0])
     return 0j
+
+
+def cut_values(pieces: Sequence[Piece]) -> list[tuple[float, complex, complex]]:
+    """(c, phi(c), phi(c+)) at every finite cut c > 0, ascending.
+
+    Gaps count as 0, so the end of a bounded support is a cut (its right
+    value is 0) and so is each edge of a gap; 0 itself is not a cut.
+    """
+    cuts = sorted({c for a, b, _ in pieces for c in (a, b)
+                   if 0.0 < c < math.inf})
+    left = eval_pieces(pieces, np.array(cuts))
+    return [(c, complex(v), _right_value(pieces, c))
+            for c, v in zip(cuts, left)]
+
+
+def with_gaps(pieces: Sequence[Piece]) -> list[Piece]:
+    """The pieces tiling (0, end]: each gap before or between them is
+    filled by a piece with no terms."""
+    out: list[Piece] = []
+    prev = 0.0
+    for a, b, terms in pieces:
+        if a > prev:
+            out.append((prev, a, ()))
+        out.append((a, b, terms))
+        prev = b
+    return out
+
+
+def coef_scale(pieces: Sequence[Piece]) -> float:
+    """Largest coefficient modulus over all pieces, 0 with no pieces."""
+    return max((abs(complex(c)) for _, _, t in pieces for c, _, _ in t),
+               default=0.0)
 
 
 # ---------------------------------------------------------------------------

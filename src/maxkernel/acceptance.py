@@ -10,6 +10,7 @@ check's primary tolerance and is echoed in the result detail.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -38,6 +39,27 @@ class CheckResult:
         return f"{flag} {self.name}: {self.detail} [{self.elapsed:.2f}s]"
 
 
+# family -> check, in the order `maxkernel verify` runs them
+CHECKS: dict = {}
+
+
+def _check(name: str, family: str):
+    """Register a check under its family, the one place either is named.
+
+    The check returns (passed, detail); the registered function times it
+    and wraps the pair in a CheckResult."""
+    def register(fn):
+        @functools.wraps(fn)
+        def run(tol=None) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail = fn(tol)
+            return CheckResult(name, family, passed, detail,
+                               time.perf_counter() - t0)
+        CHECKS[family] = run
+        return run
+    return register
+
+
 # fixed reference symbols used across several checks
 _AFFINE = PiecewisePoly([1.0], [[1.0, -1.0]])            # 1 - x
 _SQUARE = PiecewisePoly([1.0], [[1.0, -2.0, 1.0]])       # (1 - x)^2
@@ -56,7 +78,8 @@ def _eigs(s: Symbol, key: str):
     return _eig_cache[key]
 
 
-def check_exact_spectrum(tol=None) -> CheckResult:
+@_check("exact-spectrum", "sturm")
+def check_exact_spectrum(tol=None):
     """Shooting eigenvalues of the affine symbol hit the closed form
     pi^-2 (n+1/2)^-2, and the Galerkin discretization reproduces them."""
     rtol = 1e-8 if tol is None else tol
@@ -71,18 +94,16 @@ def check_exact_spectrum(tol=None) -> CheckResult:
     sv, _ = discretize.singular_values(gm, 21)
     dev_g = float(np.max(np.abs(sv[:21] / exact - 1.0)))
     ok = dev < rtol and solve_t < 5.0 and dev_g < 1e-3
-    return CheckResult(
-        "exact-spectrum", "sturm", ok,
+    return ok, (
         f"n<=20 vs closed form rel {dev:.2e} (tol {rtol:.0e}) in "
-        f"{solve_t:.2f}s; n=4096 discretization rel {dev_g:.2e} (tol 1e-03)",
-        time.perf_counter() - t0)
+        f"{solve_t:.2f}s; n=4096 discretization rel {dev_g:.2e} (tol 1e-03)")
 
 
-def check_trace_identity(tol=None) -> CheckResult:
+@_check("trace-identity", "trace")
+def check_trace_identity(tol=None):
     """Eigenvalue sums with fitted tails reproduce int phi for the three
     reference shapes."""
     rtol = 1e-4 if tol is None else tol
-    t0 = time.perf_counter()
     worst, parts = 0.0, []
     for key, s in (("affine", _AFFINE), ("square", _SQUARE),
                    ("tent", _TENT)):
@@ -92,10 +113,8 @@ def check_trace_identity(tol=None) -> CheckResult:
         rel = abs(total - target) / abs(target)
         worst = max(worst, rel)
         parts.append(f"{key} {rel:.2e}")
-    return CheckResult(
-        "trace-identity", "trace", worst < rtol,
-        f"sum+tail vs int phi rel: {', '.join(parts)} (tol {rtol:.0e})",
-        time.perf_counter() - t0)
+    return worst < rtol, (
+        f"sum+tail vs int phi rel: {', '.join(parts)} (tol {rtol:.0e})")
 
 
 def _hs_corpus():
@@ -111,13 +130,13 @@ def _hs_corpus():
     ]
 
 
-def check_hs_norm(tol=None) -> CheckResult:
+@_check("hs-norm", "s2")
+def check_hs_norm(tol=None):
     """Frobenius norms of the Galerkin compression (from its generators,
     in O(n)) converge to the Hilbert-Schmidt closed form
     (2 int x |phi|^2)^(1/2) on a 10-symbol corpus; 1 percent at the finest
     level."""
     rtol = 1e-2 if tol is None else tol
-    t0 = time.perf_counter()
     worst, worst_name = 0.0, ""
     for name, s in _hs_corpus():
         target = classify.s2_norm(s)
@@ -132,18 +151,16 @@ def check_hs_norm(tol=None) -> CheckResult:
             errs.append(abs(frob - target) / target)
         if errs[-1] > worst:
             worst, worst_name = errs[-1], name
-    return CheckResult(
-        "hs-norm", "s2", worst < rtol,
+    return worst < rtol, (
         f"10 symbols, finest-level Frobenius vs closed form: worst rel "
-        f"{worst:.2e} ({worst_name}) (tol {rtol:.0e})",
-        time.perf_counter() - t0)
+        f"{worst:.2e} ({worst_name}) (tol {rtol:.0e})")
 
 
-def check_asymptotics(tol=None) -> CheckResult:
+@_check("asymptotics", "asymptotics")
+def check_asymptotics(tol=None):
     """n^2 lambda_n approaches the squared quarter-wave action for smooth
     shapes; step spectra collapse to numerical zero instead."""
     band = 0.05 if tol is None else tol
-    t0 = time.perf_counter()
     worst, parts = 0.0, []
     for key, s in (("affine", _AFFINE), ("square", _SQUARE),
                    ("tent", _TENT)):
@@ -157,19 +174,17 @@ def check_asymptotics(tol=None) -> CheckResult:
     gm = discretize.galerkin_matrix(Step([1.0, 2.0], [2.0, 1.0]), n=512)
     sv, _ = discretize.singular_values(gm)
     step_ok = 100.0 ** 2 * sv[100] < 0.01 * sv[0]
-    return CheckResult(
-        "asymptotics", "asymptotics", worst < band and step_ok,
+    return worst < band and step_ok, (
         f"max |n^2 lam_n / C - 1| on [50,200]: {', '.join(parts)} "
         f"(band {band}); step n^2 s_100 / s_0 = "
-        f"{100.0 ** 2 * sv[100] / sv[0]:.1e} (< 0.01)",
-        time.perf_counter() - t0)
+        f"{100.0 ** 2 * sv[100] / sv[0]:.1e} (< 0.01)")
 
 
-def check_volterra_limit(tol=None) -> CheckResult:
+@_check("volterra-limit", "volterra")
+def check_volterra_limit(tol=None):
     """Triangular truncations of the indicator have n s_n -> 1/pi, and the
     extrapolated values match (pi (n+1/2))^-1 index by index."""
     ptol = 1e-3 if tol is None else tol
-    t0 = time.perf_counter()
     tl = discretize.triangular_limit(_INDICATOR)
     plateau_dev = abs(tl.plateau - 1.0 / math.pi)
     lo, hi = tl.window
@@ -177,12 +192,10 @@ def check_volterra_limit(tol=None) -> CheckResult:
     exact = 1.0 / (math.pi * (n + 0.5))
     idx_dev = float(np.max(np.abs(tl.per_index / exact - 1.0)))
     ok = plateau_dev < ptol and idx_dev < 1e-4
-    return CheckResult(
-        "volterra-limit", "volterra", ok,
+    return ok, (
         f"plateau |n s_n - 1/pi| = {plateau_dev:.2e} (tol {ptol:.0e}); "
         f"per-index vs (pi(n+1/2))^-1 rel {idx_dev:.2e} (tol 1e-04) "
-        f"on [{lo},{hi}]",
-        time.perf_counter() - t0)
+        f"on [{lo},{hi}]")
 
 
 # calibration recorded at first build: singular values of the oscillating
@@ -191,12 +204,12 @@ _EXP_SHAPE_BAND = (0.99, 10.7)
 _EXP_NS = (1, 4, 16, 64, 256)
 
 
-def check_exp_growth(tol=None) -> CheckResult:
+@_check("exp-growth", "exp")
+def check_exp_growth(tol=None):
     """Pure-oscillation symbols: singular values track the two-sided
     envelope, trace norms grow like log N, and the squared Schatten-2 norm
     equals the Parseval integral."""
     ptol = 1e-12 if tol is None else tol
-    t0 = time.perf_counter()
     lo_band, hi_band = _EXP_SHAPE_BAND
     shape_lo, shape_hi = math.inf, 0.0
     ratios = []
@@ -215,12 +228,10 @@ def check_exp_growth(tol=None) -> CheckResult:
     bracket = max(ratios) / min(ratios)
     ok = (lo_band <= shape_lo and shape_hi <= hi_band
           and bracket < 4.0 and parseval_dev < ptol)
-    return CheckResult(
-        "exp-growth", "exp", ok,
+    return ok, (
         f"shape band [{shape_lo:.2f}, {shape_hi:.2f}] within "
         f"[{lo_band}, {hi_band}]; S1/log(N+1) bracket {bracket:.3f} (< 4); "
-        f"Parseval rel dev {parseval_dev:.1e} (tol {ptol:.0e})",
-        time.perf_counter() - t0)
+        f"Parseval rel dev {parseval_dev:.1e} (tol {ptol:.0e})")
 
 
 def _random_step(rng) -> Step:
@@ -237,11 +248,11 @@ def _random_step(rng) -> Step:
     return Step(cuts, vals)
 
 
-def check_step_rank(tol=None) -> CheckResult:
+@_check("step-rank", "steps")
+def check_step_rank(tol=None):
     """Random step symbols: the closed-form spectrum has exactly rank-many
     values, and a breakpoint-conforming discretization reproduces each."""
     rtol = 1e-8 if tol is None else tol
-    t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED)
     worst, count_ok = 0.0, True
     for _ in range(50):
@@ -258,18 +269,16 @@ def check_step_rank(tol=None) -> CheckResult:
         gm = discretize.galerkin_matrix(s, grid=nodes)
         sv, _ = discretize.singular_values(gm)
         worst = max(worst, float(np.max(np.abs(sv[:rank] / exact - 1.0))))
-    return CheckResult(
-        "step-rank", "steps", count_ok and worst < rtol,
+    return count_ok and worst < rtol, (
         f"50 random steps: rank counts {'exact' if count_ok else 'WRONG'} "
         f"above 1e-12 s_0; refined grid vs closed form rel {worst:.2e} "
-        f"(tol {rtol:.0e})",
-        time.perf_counter() - t0)
+        f"(tol {rtol:.0e})")
 
 
-def check_kronecker_det(tol=None) -> CheckResult:
+@_check("kronecker-det", "kronecker")
+def check_kronecker_det(tol=None):
     """Telescoping determinant of {a_max(i,j)} against dense LU."""
     rtol = 1e-12 if tol is None else tol
-    t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     for _ in range(1000):
@@ -281,11 +290,9 @@ def check_kronecker_det(tol=None) -> CheckResult:
             a[np.maximum(idx[:, None], idx[None, :])]))
         scale = max(abs(fast), abs(dense))
         worst = max(worst, abs(fast - dense) / scale)
-    return CheckResult(
-        "kronecker-det", "kronecker", worst < rtol,
+    return worst < rtol, (
         f"1000 random complex vectors, n<=8: rel dev {worst:.2e} "
-        f"(tol {rtol:.0e})",
-        time.perf_counter() - t0)
+        f"(tol {rtol:.0e})")
 
 
 def _random_decreasing_pl(rng) -> PiecewisePoly:
@@ -301,11 +308,11 @@ def _random_decreasing_pl(rng) -> PiecewisePoly:
     return PiecewisePoly(cuts, pieces)
 
 
-def check_positivity(tol=None) -> CheckResult:
+@_check("positivity", "positivity")
+def check_positivity(tol=None):
     """Nonincreasing nonnegative symbols give positive semidefinite
     compressions up to roundoff."""
     slack = 1e-10 if tol is None else tol
-    t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     for _ in range(20):
@@ -313,18 +320,16 @@ def check_positivity(tol=None) -> CheckResult:
         gm = discretize.galerkin_matrix(s, n=512)
         _, eigs = discretize.singular_values(gm)
         worst = max(worst, -float(eigs.min()) / float(np.abs(eigs).max()))
-    return CheckResult(
-        "positivity", "positivity", worst < slack,
+    return worst < slack, (
         f"20 random nonincreasing shapes: min eig > -{worst:.1e} s_0 "
-        f"(tol {slack:.0e})",
-        time.perf_counter() - t0)
+        f"(tol {slack:.0e})")
 
 
-def check_factorization(tol=None) -> CheckResult:
+@_check("factorization", "factorization")
+def check_factorization(tol=None):
     """The square-root factor of the kernel reproduces the compression:
     residual small and decreasing under refinement."""
     rtol = 1e-3 if tol is None else tol
-    t0 = time.perf_counter()
     ok, parts = True, []
     for key, s in (("affine", _AFFINE), ("square", _SQUARE)):
         resid = [discretize.factor_residual(s, n=n)
@@ -332,18 +337,16 @@ def check_factorization(tol=None) -> CheckResult:
         if resid[-1] >= rtol or not (resid[0] > resid[1] > resid[2]):
             ok = False
         parts.append(f"{key} {resid[0]:.1e}->{resid[1]:.1e}->{resid[2]:.1e}")
-    return CheckResult(
-        "factorization", "factorization", ok,
+    return ok, (
         f"residual at n=512/1024/2048: {', '.join(parts)} "
-        f"(tol {rtol:.0e} at finest, decreasing)",
-        time.perf_counter() - t0)
+        f"(tol {rtol:.0e} at finest, decreasing)")
 
 
-def check_schatten_verdicts(tol=None) -> CheckResult:
+@_check("schatten-verdicts", "classify")
+def check_schatten_verdicts(tol=None):
     """Classifier verdicts agree with computed spectra: in-verdicts have
     bounded weak norms, and the divergent reference symbol shows monotone
     non-summable partial sums."""
-    t0 = time.perf_counter()
     pairs = [("affine", _AFFINE, 1.0), ("square", _SQUARE, 1.0),
              ("tent", _TENT, 1.0), ("indicator", _INDICATOR, 0.4),
              ("inv-square-tail",
@@ -375,13 +378,11 @@ def check_schatten_verdicts(tol=None) -> CheckResult:
     inc = np.diff(sums)
     diverging = bool(np.all(inc > 0) and inc[-1] > 0.8 * inc[0])
     ok = in_ok and bounded_ok and out_ok and diverging
-    return CheckResult(
-        "schatten-verdicts", "classify", ok,
+    return ok, (
         f"5 in-verdicts with bounded weak norms: "
         f"{in_ok and bounded_ok}; divergent tail symbol: verdict out "
         f"{out_ok}, partial sums {', '.join(f'{v:.2f}' for v in sums)} "
-        f"monotone non-summable {diverging}",
-        time.perf_counter() - t0)
+        f"monotone non-summable {diverging}")
 
 
 # calibration recorded at first build: periodic cosine on a two-period
@@ -392,10 +393,10 @@ _CROSS_COUNTS = (8, 5)
 _CROSS_BAND = (0.5, 6.0)
 
 
-def check_cross_representation(tol=None) -> CheckResult:
+@_check("cross-representation", "hankel")
+def check_cross_representation(tol=None):
     """The Fourier-side window and the dense compression see the same
     spectrum for a periodic symbol, up to the recorded calibration."""
-    t0 = time.perf_counter()
     s = TrigPoly(1.0, [0.5, 0.0, 0.5], periodic=True)
     est = discretize.spectrum(s, interval=(0.0, 2.0), n0=512, tol=5e-6,
                               K=32)
@@ -410,42 +411,13 @@ def check_cross_representation(tol=None) -> CheckResult:
     lo, hi = _CROSS_BAND
     ok = ((ch, cg) == _CROSS_COUNTS and hw.coverage > 0.999
           and bool(np.all((r >= lo) & (r <= hi))))
-    return CheckResult(
-        "cross-representation", "hankel", ok,
+    return ok, (
         f"counts above {_CROSS_TAU} s_0: window {ch}, dense {cg} "
         f"(recorded {_CROSS_COUNTS}); ratio range [{r.min():.2f}, "
-        f"{r.max():.2f}] within [{lo}, {hi}]; coverage {hw.coverage:.3f}",
-        time.perf_counter() - t0)
+        f"{r.max():.2f}] within [{lo}, {hi}]; coverage {hw.coverage:.3f}")
 
 
-CHECKS = [
-    check_exact_spectrum,
-    check_trace_identity,
-    check_hs_norm,
-    check_asymptotics,
-    check_volterra_limit,
-    check_exp_growth,
-    check_step_rank,
-    check_kronecker_det,
-    check_positivity,
-    check_factorization,
-    check_schatten_verdicts,
-    check_cross_representation,
-]
-
-FAMILIES = ("sturm", "trace", "s2", "asymptotics", "volterra", "exp",
-            "steps", "kronecker", "positivity", "factorization",
-            "classify", "hankel")
-
-_FAMILY_OF = {
-    check_exact_spectrum: "sturm", check_trace_identity: "trace",
-    check_hs_norm: "s2", check_asymptotics: "asymptotics",
-    check_volterra_limit: "volterra", check_exp_growth: "exp",
-    check_step_rank: "steps", check_kronecker_det: "kronecker",
-    check_positivity: "positivity", check_factorization: "factorization",
-    check_schatten_verdicts: "classify",
-    check_cross_representation: "hankel",
-}
+FAMILIES = tuple(CHECKS)
 
 
 def run_checks(only=None, tol=None) -> list[CheckResult]:
@@ -463,9 +435,5 @@ def run_checks(only=None, tol=None) -> list[CheckResult]:
             bad = ", ".join(repr(u) for u in unknown) or repr(only)
             raise ValueError(f"unknown family {bad}; choose from "
                              + ", ".join(FAMILIES))
-    out = []
-    for fn in CHECKS:
-        if wanted is not None and _FAMILY_OF[fn] not in wanted:
-            continue
-        out.append(fn(tol=tol))
-    return out
+    return [check(tol=tol) for family, check in CHECKS.items()
+            if wanted is None or family in wanted]

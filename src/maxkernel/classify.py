@@ -22,12 +22,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from ._piecewise import (Term, _laurent_roots, _piece_value_range,
-                         _real_w0_terms, _right_value, abs2_terms,
+                         _real_w0_terms, abs2_terms, coef_scale, cut_values,
                          derivative_terms, eval_terms, integrate_terms,
-                         integrate_terms_to_inf, mul_terms)
-from .symbols import (Interval, PiecewisePoly, Sampled, Step, Symbol,
-                      TrigPoly, evaluate, modulus, support, to_pieces,
-                      variation_tail)
+                         mul_terms, with_gaps)
+from .symbols import (Interval, Step, Symbol, evaluate, modulus, support,
+                      to_pieces, variation_tail)
 
 __all__ = [
     "Verdict", "x_p_integral", "s2_norm", "l1_norm", "tail_functional",
@@ -178,31 +177,19 @@ def x_p_integral(s: Symbol, p: float) -> float:
         x_term: tuple[Term, ...] = ((1.0, 1, 0.0),)
         for a, b, terms in pieces:
             t2 = mul_terms(x_term, abs2_terms(terms))
-            if math.isinf(b):
-                total += float(np.real(integrate_terms_to_inf(t2, a)))
-            else:
-                total += float(np.real(integrate_terms(t2, a, b)))
+            total += float(np.real(integrate_terms(t2, a, b)))
         return math.sqrt(max(total, 0.0))
 
     # generic p: numeric quadrature of the tail-mass profile
-    masses = []
-    for a, b, terms in pieces:
-        a2 = abs2_terms(terms)
-        if math.isinf(b):
-            masses.append(float(np.real(integrate_terms_to_inf(a2, a))))
-        else:
-            masses.append(float(np.real(integrate_terms(a2, a, b))))
+    masses = [float(np.real(integrate_terms(abs2_terms(terms), a, b)))
+              for a, b, terms in pieces]
     suffix = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
 
     def T(x: float) -> float:
         for i, (a, b, terms) in enumerate(pieces):
             if x < a:
                 return float(suffix[i])
-            if x <= b or math.isinf(b):
-                if math.isinf(b):
-                    rest = float(np.real(
-                        integrate_terms_to_inf(abs2_terms(terms), max(x, a))))
-                    return rest
+            if x <= b:
                 rest = float(np.real(
                     integrate_terms(abs2_terms(terms), max(x, a), b)))
                 return rest + float(suffix[i + 1])
@@ -244,17 +231,13 @@ def tail_functional(s: Symbol, x: float) -> float:
         raise ValueError("x must be >= 0")
     total = 0.0
     for a, b, terms in to_pieces(s):
-        if math.isfinite(b) and b <= x:
+        if b <= x:
             continue
-        lo = max(a, x)
-        a2 = abs2_terms(terms)
-        if math.isinf(b):
-            try:
-                total += float(np.real(integrate_terms_to_inf(a2, max(lo, a))))
-            except ValueError:
-                return math.inf
-        else:
-            total += float(np.real(integrate_terms(a2, lo, b)))
+        try:
+            total += float(np.real(
+                integrate_terms(abs2_terms(terms), max(a, x), b)))
+        except ValueError:
+            return math.inf
     return x * total
 
 
@@ -263,22 +246,16 @@ def l1_norm(s: Symbol) -> float:
 
     Raises when phi is not absolutely integrable.
     """
-    k0 = _origin_lead_power(s)
-    if k0 is not None and k0 <= -1:
-        raise ValueError("symbol is not integrable near the origin")
-    kt = _tail_lead_power(s)
-    if kt is not None and kt >= -1:
-        raise ValueError("symbol is not integrable at infinity")
+    where = _not_integrable(s)
+    if where:
+        raise ValueError(f"symbol is not integrable {where}")
     total = 0.0
     for a, b, terms in to_pieces(s):
         w0 = _real_w0_terms(terms)
         if w0:
             nodes = [a] + _laurent_roots(w0, a, b) + [b]
             for u, v in zip(nodes[:-1], nodes[1:]):
-                if math.isinf(v):
-                    total += abs(np.real(integrate_terms_to_inf(terms, u)))
-                else:
-                    total += abs(np.real(integrate_terms(terms, u, v)))
+                total += abs(np.real(integrate_terms(terms, u, v)))
         elif w0 is not None:
             pass  # identically zero piece
         else:
@@ -320,6 +297,18 @@ def _tail_lead_power(s: Symbol) -> Optional[int]:
     return max(w0)
 
 
+def _not_integrable(s: Symbol) -> Optional[str]:
+    """Where phi fails to be integrable by its leading powers ("near the
+    origin" or "at infinity"), None if it is integrable."""
+    k0 = _origin_lead_power(s)
+    if k0 is not None and k0 <= -1:
+        return "near the origin"
+    kt = _tail_lead_power(s)
+    if kt is not None and kt >= -1:
+        return "at infinity"
+    return None
+
+
 def y_p_norm(s: Symbol, p: float) -> float:
     """Weighted dyadic variation norm (sum_n 2^(np) v_n^p)^(1/p).
 
@@ -334,11 +323,7 @@ def y_p_norm(s: Symbol, p: float) -> float:
     pieces = to_pieces(s)
     if not pieces:
         return 0.0
-    k0 = _origin_lead_power(s)
-    if k0 is not None and k0 <= -1:
-        return math.inf
-    kt = _tail_lead_power(s)
-    if kt is not None and kt >= -1:
+    if _not_integrable(s):
         return math.inf
 
     finite_cuts = [a for a, _, _ in pieces if a > 0.0] + \
@@ -384,14 +369,12 @@ def y_p_norm(s: Symbol, p: float) -> float:
 
 def is_nonnegative(s: Symbol, tol: float = 1e-12) -> bool:
     pieces = to_pieces(s)
-    scale = max((max(abs(complex(c)) for c, _, _ in t) for _, _, t in pieces),
-                default=0.0)
+    slack = tol * max(coef_scale(pieces), 1.0)
     for a, b, terms in pieces:
-        if any(abs(complex(c).imag) > tol * max(scale, 1.0)
-               for c, _, _ in terms):
+        if any(abs(complex(c).imag) > slack for c, _, _ in terms):
             return False
         mn, _ = _piece_value_range(terms, a, b)
-        if mn < -tol * max(scale, 1.0):
+        if mn < -slack:
             return False
     return True
 
@@ -399,10 +382,7 @@ def is_nonnegative(s: Symbol, tol: float = 1e-12) -> bool:
 def is_nonincreasing(s: Symbol, tol: float = 1e-12) -> bool:
     """True if phi is a.e. nonincreasing on (0, inf), jumps included."""
     pieces = to_pieces(s)
-    if not pieces:
-        return True
-    scale = max(max(abs(complex(c)) for c, _, _ in t) for _, _, t in pieces)
-    slack = tol * max(scale, 1.0)
+    slack = tol * max(coef_scale(pieces), 1.0)
     for a, b, terms in pieces:
         if any(abs(complex(c).imag) > slack for c, _, _ in terms):
             return False
@@ -411,20 +391,9 @@ def is_nonincreasing(s: Symbol, tol: float = 1e-12) -> bool:
             _, mx = _piece_value_range(d, a, b)
             if mx > slack:
                 return False
-    # jump directions at all finite cut points, gaps included
-    cuts = sorted({a for a, _, _ in pieces if a > 0.0}
-                  | {b for _, b, _ in pieces if math.isfinite(b)})
-    for c in cuts:
-        left = float(np.real(np.asarray(evaluate(s, c))))
-        right = _right_value(pieces, c).real
-        if right > left + slack:
-            return False
-    # terminal value must not undershoot the implicit zero tail
-    last_b = pieces[-1][1]
-    if math.isfinite(last_b):
-        if float(np.real(np.asarray(evaluate(s, last_b)))) < -slack:
-            return False
-    return True
+    # no upward jump at any cut, the end of the support (down to 0) included
+    return not any(right.real > left.real + slack
+                   for _, left, right in cut_values(pieces))
 
 
 def is_positive_operator(s: Symbol) -> Verdict:
@@ -456,11 +425,7 @@ def monotone_profile_norm(s: Symbol, p: float) -> float:
     pieces = to_pieces(s)
     if not pieces:
         return 0.0
-    k0 = _origin_lead_power(s)
-    if k0 is not None and k0 <= -1:
-        return math.inf
-    kt = _tail_lead_power(s)
-    if kt is not None and kt >= -1:
+    if _not_integrable(s):
         return math.inf
 
     def f(x: float) -> float:
@@ -511,51 +476,20 @@ def canonical_step(s: Symbol) -> Optional[Step]:
     """Return s as a canonical Step (adjacent equal values merged, trailing
     zero pieces dropped), or None if s is not a.e. a compactly supported
     step function.  The zero symbol maps to None; detect_step reports 0."""
-    st = _as_step(s)
-    if st is None:
+    pieces = with_gaps(to_pieces(s))
+    if not pieces or math.isinf(pieces[-1][1]):
         return None
     bp, vals = [], []
-    for x, v in zip(st.breakpoints, st.values):
+    for _, b, terms in pieces:
+        if any(p != 0 or w != 0.0 for _, p, w in terms):
+            return None
+        v = terms[0][0] if terms else 0.0
         if vals and v == vals[-1]:
-            bp[-1] = x
+            bp[-1] = b
         else:
-            bp.append(x)
+            bp.append(b)
             vals.append(v)
-    while vals and vals[-1] == 0:
-        bp.pop()
-        vals.pop()
-    if not vals:
-        return None
     return Step(bp, vals)
-
-
-def _as_step(s: Symbol) -> Optional[Step]:
-    if isinstance(s, Step):
-        return s
-    if isinstance(s, PiecewisePoly):
-        if s.tail:
-            return None
-        vals = []
-        for coeffs, k0 in zip(s.pieces, s.lowest):
-            nz = [(k0 + j, c) for j, c in enumerate(coeffs) if c != 0]
-            if any(p != 0 for p, _ in nz):
-                return None
-            vals.append(nz[0][1] if nz else 0.0)
-        return Step(s.breakpoints, vals)
-    if isinstance(s, TrigPoly):
-        if s.periodic:
-            return None
-        M = s.order
-        if any(c != 0 for n, c in zip(range(-M, M + 1), s.coeffs) if n != 0):
-            return None
-        return Step([s.period], [s.coeffs[M]])
-    if isinstance(s, Sampled):
-        if s.interpolation == "pc":
-            return Step(s.grid, (0.0,) + s.values[1:])
-        if all(v == s.values[0] for v in s.values):
-            return Step([s.grid[0], s.grid[-1]], [0.0, s.values[0]])
-        return None
-    raise TypeError(f"not a symbol: {s!r}")
 
 
 def detect_step(s: Symbol) -> Optional[int]:
@@ -563,28 +497,19 @@ def detect_step(s: Symbol) -> Optional[int]:
     st = canonical_step(s)
     if st is not None:
         return len(st.values)
-    # distinguish "zero symbol" (a step function of 0 steps) from "not a step"
-    if _as_step(s) is not None or not to_pieces(s):
-        return 0
-    return None
+    # the zero symbol is a step function of 0 steps
+    return 0 if not to_pieces(s) else None
 
 
 def trace_value(s: Symbol) -> complex:
     """Exact int_0^inf phi(x) dx; raises when phi is not integrable."""
-    pieces = to_pieces(s)
+    where = _not_integrable(s)
+    if where:
+        raise ValueError(f"symbol is not integrable {where}")
     total = 0.0 + 0.0j
-    k0 = _origin_lead_power(s)
-    if k0 is not None and k0 <= -1:
-        raise ValueError("symbol is not integrable near the origin")
-    for a, b, terms in pieces:
-        if math.isinf(b):
-            try:
-                total += integrate_terms_to_inf(terms, a)
-            except ValueError as e:
-                raise ValueError("symbol is not integrable at infinity") from e
-        else:
-            total += integrate_terms(terms, a, b)
-    return complex(total)
+    for a, b, terms in to_pieces(s):
+        total += integrate_terms(terms, a, b)
+    return total
 
 
 def kronecker_det(a) -> complex:

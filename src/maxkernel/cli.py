@@ -87,7 +87,7 @@ def _load_symbol(arg: str) -> Symbol:
         pass
     try:
         return symbol_from_json(text)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise SystemExit(
             f"cannot parse symbol (inline JSON or a readable path "
             f"expected): {e}") from e
@@ -110,11 +110,16 @@ def _positive_int(text: str) -> int:
     return k
 
 
+def _positive_float(text: str) -> float:
+    x = float(text)
+    if not 0.0 < x < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {x}")
+    return x
+
+
 def _parse_ints(text: str) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as e:
-        raise SystemExit(f"bad integer list {text!r}: {e}") from e
+    return tuple(_positive_int(v) for v in text.split(","))
 
 
 def cmd_classify(args) -> int:
@@ -281,9 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", default="galerkin",
                    choices=("galerkin", "sturm", "step_exact", "exp"))
-    p.add_argument("--n", type=int, default=256,
+    p.add_argument("--n", type=_positive_int, default=256,
                    help="initial grid size for the dense method")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--K", type=_positive_int, default=16,
                    help="values to resolve / track")
     p.add_argument("--N", type=_parse_ints, default=None,
@@ -301,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--K", type=_positive_int, default=64,
                    help="Fourier coefficients per side")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_positive_int, default=None,
                    help="window half-order (default: automatic)")
     p.set_defaults(fn=cmd_hankel)
 
@@ -318,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None,
                    help="comma-separated families to run: "
                         + ", ".join(acceptance.FAMILIES))
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_positive_float, default=None,
                    help="override the primary tolerance of each check")
     p.set_defaults(fn=cmd_verify)
     return ap

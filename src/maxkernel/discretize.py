@@ -156,22 +156,28 @@ class TriangularLimit:
     fit_slope: float
 
 
-def _cell_integrals(s: Symbol, nodes: np.ndarray):
-    """Exact (m_i, w_i) per cell; pieces are split at the grid nodes."""
-    n = len(nodes) - 1
-    m = np.zeros(n, dtype=complex)
-    w = np.zeros(n, dtype=complex)
-    x_terms = ((1.0, 1, 0.0),)
+def _split_at_nodes(s: Symbol, nodes: np.ndarray):
+    """Each piece of s on [nodes[0], nodes[-1]], split at the grid nodes:
+    yields (terms, pts, idx), where (pts[k], pts[k+1]) lies in cell idx[k]."""
     for a, b, terms in to_pieces(s):
         lo, hi = max(a, nodes[0]), min(b, nodes[-1])
         if hi <= lo:
             continue
         inner = nodes[(nodes > lo) & (nodes < hi)]
         pts = np.concatenate([[lo], inner, [hi]])
+        # by left ends: a midpoint can overflow to inf near the float limit
+        yield terms, pts, np.searchsorted(nodes, pts[:-1], side="right") - 1
+
+
+def _cell_integrals(s: Symbol, nodes: np.ndarray):
+    """Exact (m_i, w_i) per cell; pieces are split at the grid nodes."""
+    n = len(nodes) - 1
+    m = np.zeros(n, dtype=complex)
+    w = np.zeros(n, dtype=complex)
+    x_terms = ((1.0, 1, 0.0),)
+    for terms, pts, idx in _split_at_nodes(s, nodes):
         mm = integrate_terms_nodes(terms, pts)
         xm = integrate_terms_nodes(mul_terms(terms, x_terms), pts)
-        # by left ends: a midpoint can overflow to inf near the float limit
-        idx = np.searchsorted(nodes, pts[:-1], side="right") - 1
         np.add.at(m, idx, mm)
         np.add.at(w, idx, xm - nodes[idx] * mm)
     return m, w
@@ -492,13 +498,8 @@ def _sqrt_slope_cell_integrals(s: Symbol, nodes: np.ndarray):
     n = len(nodes) - 1
     m = np.zeros(n)
     w = np.zeros(n)
-    for a, b, terms in to_pieces(s):
+    for terms, pts, idx in _split_at_nodes(s, nodes):
         dt = derivative_terms(terms)
-        lo, hi = max(a, nodes[0]), min(b, nodes[-1])
-        if hi <= lo:
-            continue
-        inner = nodes[(nodes > lo) & (nodes < hi)]
-        pts = np.concatenate([[lo], inner, [hi]])
         mid = 0.5 * (pts[:-1] + pts[1:])
         half = 0.5 * np.diff(pts)
         xs = mid[:, None] + half[:, None] * gl_x[None, :]
@@ -507,7 +508,6 @@ def _sqrt_slope_cell_integrals(s: Symbol, nodes: np.ndarray):
             psi = np.sqrt(np.maximum(-vals.real, 0.0))
         else:
             psi = np.zeros_like(xs)
-        idx = np.searchsorted(nodes, mid) - 1
         mm = half * (psi @ gl_w)
         xm = half * ((xs * psi) @ gl_w)
         np.add.at(m, idx, mm)

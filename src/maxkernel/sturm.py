@@ -31,7 +31,8 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import polygamma
 
 from ._piecewise import (_laurent_roots, _piece_value_range, _real_w0_terms,
-                         _right_value, derivative_terms, eval_terms)
+                         _right_value, coef_scale, cut_values,
+                         derivative_terms, eval_pieces, eval_terms, with_gaps)
 from .classify import canonical_step
 from .symbols import Symbol, evaluate, is_real_symbol, support, to_pieces
 
@@ -111,37 +112,22 @@ def _validate(s: Symbol, need_root_at_b: bool) -> _Problem:
         raise ValueError("shooting needs bounded support")
     b = sup.hi
     pieces = to_pieces(s)
-    scale = max((max(abs(complex(c)) for c, _, _ in t) for _, _, t in pieces),
-                default=0.0)
+    scale = coef_scale(pieces)
     if scale == 0.0:
         raise ValueError("symbol vanishes identically")
     slack = 1e-9 * max(scale, 1.0)
-    # continuity at every cut, and phi(0+) finite
-    cuts = sorted({c for a, bb, _ in pieces for c in (a, bb) if c < b})
-    for c in cuts:
-        left = float(evaluate(s, c)) if c > 0 else \
-            _right_value(pieces, 0.0).real
-        right = _right_value(pieces, c).real
-        if c == 0.0:
-            if not math.isfinite(right):
-                raise ValueError("not-smooth-enough: phi blows up at 0")
-            continue
-        if abs(left - right) > slack:
+    # phi(0+) finite, and continuity at every cut inside the support
+    if not math.isfinite(_right_value(pieces, 0.0).real):
+        raise ValueError("not-smooth-enough: phi blows up at 0")
+    for c, left, right in cut_values(pieces):
+        if c < b and abs(left.real - right.real) > slack:
             raise ValueError(f"not-smooth-enough: jump at x = {c}")
     if need_root_at_b and abs(float(evaluate(s, b))) > 1e-12 * scale:
         raise ValueError(
             "phi must vanish at the right end of its support; subtract the "
             "terminal value first (symbols.subtract_terminal)")
-    # slope segments with gap fill
-    segs = []
-    prev = 0.0
-    for a, bb, terms in pieces:
-        if a > prev:
-            segs.append((prev, a, ()))
-        segs.append((a, bb, derivative_terms(terms)))
-        prev = bb
-    if prev < b:  # cannot happen for sorted pieces, kept for safety
-        segs.append((prev, b, ()))
+    segs = [(a, bb, derivative_terms(terms))
+            for a, bb, terms in with_gaps(pieces)]
     slopes: Optional[list[float]] = []
     for x0, x1, dt in segs:
         if not dt:
@@ -450,7 +436,8 @@ def sl_residual(s: Symbol, lam: float, xs, Gs) -> float:
     gmax = float(np.max(np.abs(Gs)))
     if gmax == 0.0:
         raise ValueError("degenerate sample: G vanishes identically")
-    cuts = sorted({c for a, b, _ in to_pieces(s) for c in (a, b)
+    pieces = to_pieces(s)
+    cuts = sorted({c for a, b, _ in pieces for c in (a, b)
                    if math.isfinite(c)})
     d2 = (Gs[2:] - 2.0 * Gs[1:-1] + Gs[:-2]) / (h * h)
     xin = xs[1:-1]
@@ -459,16 +446,8 @@ def sl_residual(s: Symbol, lam: float, xs, Gs) -> float:
         keep &= np.abs(xin - c) > 1.5 * h
     if not keep.any():
         raise ValueError("no interior points clear of breakpoints")
-    dphi = np.empty(len(xin))
-    for i, x in enumerate(xin):
-        for a, b, terms in to_pieces(s):
-            if a < x <= b:
-                dt = derivative_terms(terms)
-                dphi[i] = float(np.real(eval_terms(dt, np.array([x]))[0])) \
-                    if dt else 0.0
-                break
-        else:
-            dphi[i] = 0.0
+    dphi = np.real(eval_pieces(
+        [(a, b, derivative_terms(t)) for a, b, t in pieces], xin))
     resid = np.abs(lam * d2 - dphi * Gs[1:-1])[keep]
     scale = max(abs(lam) / (h * h), float(np.max(np.abs(dphi)))) * gmax
     return float(np.max(resid) / scale)

@@ -29,10 +29,9 @@ from typing import Union
 import numpy as np
 from scipy.integrate import quad
 
-from ._piecewise import (Piece, _laurent_roots, _real_w0_terms, _right_value,
-                         _terms_at, abs2_terms, derivative_terms, eval_pieces,
-                         eval_terms, integrate_terms, integrate_terms_to_inf,
-                         merge_terms, shift_terms)
+from ._piecewise import (Piece, _laurent_roots, _real_w0_terms, _terms_at,
+                         abs2_terms, cut_values, derivative_terms, eval_pieces,
+                         eval_terms, integrate_terms, merge_terms, shift_terms)
 
 __all__ = [
     "Interval", "Step", "PiecewisePoly", "TrigPoly", "Sampled", "Symbol",
@@ -313,8 +312,6 @@ def variation_tail(s: Symbol, x: float) -> float:
     """
     if x < 0:
         raise ValueError("x must be >= 0")
-    if isinstance(s, Sampled):
-        return variation_tail(_sampled_to_poly(s), x)
     if isinstance(s, TrigPoly) and s.periodic:
         raise ValueError(
             "variation is not defined for periodically extended symbols")
@@ -335,29 +332,20 @@ def variation_tail(s: Symbol, x: float) -> float:
             hi = b if math.isfinite(b) else max(2 * lo, lo + 1) * 2 ** 40
             nodes = [lo] + _laurent_roots(w0, lo, hi) + [b]
             for u, v in zip(nodes[:-1], nodes[1:]):
-                if math.isinf(v):
-                    try:
-                        seg = integrate_terms_to_inf(d, u)
-                    except ValueError:
-                        return math.inf
-                    total += abs(seg)
-                else:
+                try:
                     total += abs(integrate_terms(d, u, v).real)
+                except ValueError:
+                    return math.inf
         else:
             if math.isinf(b):
                 return math.inf
             val, _ = quad(lambda u: abs(eval_terms(d, u)), lo, b, **{
                 "epsabs": 1e-12, "epsrel": 1e-11, "limit": 400})
             total += val
-    # jump contribution at piece boundaries >= x (left-limit vs right value)
-    cuts = sorted({a for a, _, _ in pieces} | {b for _, b, _ in pieces
-                                               if math.isfinite(b)})
-    for c in cuts:
-        if c < x or c == 0.0:
-            continue
-        left = complex(eval_pieces(pieces, np.array([c]))[0])
-        right = _right_value(pieces, c)
-        total += abs(left - right)
+    # jumps at cuts >= x, each added in turn after the slope terms
+    for c, left, right in cut_values(pieces):
+        if c >= x:
+            total += abs(left - right)
     return total
 
 
@@ -510,9 +498,13 @@ def _cplx_out(v: complex):
 
 
 def _cplx_in(v) -> complex:
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return complex(v)
+    """A JSON number or exactly [re, im]; complex() alone would take a
+    string, and indexing would take a list of any length."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in parts):
+        raise ValueError(f"expected a number or [re, im], got {v!r}")
+    return complex(*parts)
 
 
 def symbol_to_json(s: Symbol) -> str:
@@ -555,8 +547,12 @@ def symbol_from_json(text: str) -> Symbol:
             d.get("lowest"),
             [(_cplx_in(c), p) for c, p in d.get("tail", [])])
     if kind == "trig":
+        periodic = d.get("periodic", False)
+        if not isinstance(periodic, bool):
+            raise ValueError(f"periodic must be true or false, not "
+                             f"{periodic!r}")
         return TrigPoly(d["period"], [_cplx_in(c) for c in d["coeffs"]],
-                        d.get("periodic", False))
+                        periodic)
     if kind == "sampled":
         return Sampled(d["grid"], [_cplx_in(v) for v in d["values"]],
                        d.get("interpolation", "pl"))

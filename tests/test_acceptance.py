@@ -67,3 +67,9 @@ def test_runner_covers_every_family():
     assert len(set(acceptance.FAMILIES)) == 12
     results = acceptance.run_checks(only="kronecker")
     assert [r.name for r in results] == ["kronecker-det"]
+    names = set()
+    for f in acceptance.FAMILIES:
+        results = acceptance.run_checks(only=f)
+        assert [r.family for r in results] == [f]
+        names.add(results[0].name)
+    assert len(names) == 12

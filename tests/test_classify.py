@@ -111,6 +111,35 @@ def test_detect_step_on_other_kinds(affine):
     assert classify.detect_step(pc) == 2
     c = classify.canonical_step(pc)
     assert c.values == (0.0, 1.0)
+    cases = [
+        # constant pl: zero up to the first sample, then one value
+        (Sampled((0.5, 1.0, 2.0), (3.0, 3.0, 3.0), "pl"), (0.5, 2.0),
+         (0.0, 3.0)),
+        (TrigPoly(2.0, [0.0, 1.5, 0.0]), (2.0,), (1.5,)),
+        # constants written with lowest powers -1 and 2
+        (PiecewisePoly([1.0, 2.0, 3.0], [[0.0, 2.0], [1.0], [0.0]],
+                       [-1, 0, 2]), (1.0, 2.0), (2.0, 1.0)),
+        # a zero step in the middle stays; a trailing one is dropped
+        (Step([1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 2.0, 0.0]), (1.0, 2.0, 3.0),
+         (1.0, 0.0, 2.0)),
+        # a tail with zero coefficients is zero past the last breakpoint
+        (PiecewisePoly([1.0], [[2.0]], tail=[(0.0, -2)]), (1.0,), (2.0,)),
+    ]
+    for s, bp, vals in cases:
+        c = classify.canonical_step(s)
+        assert (c.breakpoints, c.values) == (bp, vals)
+        assert classify.detect_step(s) == len(vals)
+    for s in (TrigPoly(2.0, [0.0, 1.5, 0.0], periodic=True),
+              TrigPoly(2.0, [0.5, 1.5, 0.5]),
+              Sampled((0.5, 1.0, 2.0), (3.0, 3.0, 1.0), "pl"),
+              PiecewisePoly([1.0], [[0.0, 2.0]], [-1], tail=[(1.0, -2)]),
+              PiecewisePoly([1.0], [[1.0, 2.0]], [-1])):
+        assert classify.canonical_step(s) is None
+        assert classify.detect_step(s) is None
+    for s in (Step([1.0, 2.0], [0.0, 0.0]), TrigPoly(1.0, [0.0]),
+              Sampled((0.5, 1.0), (0.0, 0.0), "pl")):
+        assert classify.canonical_step(s) is None
+        assert classify.detect_step(s) == 0
 
 
 def test_kronecker_det_known():

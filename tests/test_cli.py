@@ -124,6 +124,38 @@ def test_parse_error_exit(capsys):
     assert main(["classify", "--symbol", AFFINE, "--format", "xml"]) == 2
     assert "error: argument --format: invalid choice" in \
         capsys.readouterr().err
+    for N in ("a", "0", "1,-4", "1,,2"):
+        assert main(["expdemo", "--N", N]) == 2
+        assert main(["spectrum", "--symbol", AFFINE, "--method", "exp",
+                     "--N", N]) == 2
+        assert "error: argument --N:" in capsys.readouterr().err
+    for args in (["spectrum", "--n", "0"], ["spectrum", "--n", "-3"],
+                 ["hankel", "--n", "0"], ["hankel", "--n", "-2"]):
+        assert main(args[:1] + ["--symbol", AFFINE] + args[1:]) == 2
+        assert "error: argument --n: must be at least 1" in \
+            capsys.readouterr().err
+    for tol in ("nan", "-1", "0", "inf"):
+        assert main(["spectrum", "--symbol", AFFINE, "--tol", tol]) == 2
+        assert main(["verify", "--only", "kronecker", "--tol", tol]) == 2
+        assert "error: argument --tol: must be positive and finite" in \
+            capsys.readouterr().err
+
+
+def test_loose_symbol_json_exit(capsys):
+    for values in ("[[1]]", "[[1,2,3]]", '["1"]', "[true]", "[[1,null]]"):
+        step = f'{{"kind":"step","breakpoints":[1],"values":{values}}}'
+        assert main(["classify", "--symbol", step, "--p", "1"]) == 2
+        assert "expected a number or [re, im]" in capsys.readouterr().err
+    for periodic in ('"false"', "0", "null"):
+        trig = f'{{"kind":"trig","period":1,"coeffs":[1],' \
+               f'"periodic":{periodic}}}'
+        assert main(["classify", "--symbol", trig, "--p", "1"]) == 2
+        assert "periodic must be true or false" in capsys.readouterr().err
+    big = '{"kind":"step","breakpoints":[1],"values":[1' + "0" * 400 + ']}'
+    assert main(["classify", "--symbol", big, "--p", "1"]) == 2
+    assert "error: cannot parse symbol" in capsys.readouterr().err
+    ok = '{"kind":"step","breakpoints":[1],"values":[[1,2]]}'
+    assert main(["classify", "--symbol", ok, "--p", "1"]) == 0
 
 
 def test_non_finite_symbol_exit(capsys):

@@ -98,3 +98,38 @@ def test_private_definitions_are_used(path):
               if d.name not in elsewhere
               and d.name not in _references(trees[path], skip=d)]
     assert not unused, f"{path.stem} defines unused private names {unused}"
+
+
+SYMBOL_CLASSES = {"Step", "PiecewisePoly", "TrigPoly", "Sampled"}
+
+
+def _isinstance_on_symbols(tree):
+    """(enclosing top-level function, class) for every isinstance call whose
+    class argument names a symbol class."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            names = {n.id for n in ast.walk(node.args[1])
+                     if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node.args[1])
+                      if isinstance(n, ast.Attribute)}
+            found += [(getattr(top, "name", None), c)
+                      for c in sorted(names & SYMBOL_CLASSES)]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_symbol_types_dispatched_only_in_symbols(path):
+    """Symbol variants are told apart only where they lower to pieces;
+    everything else reads the pieces.  The one exception passes a
+    TrigPoly's own coefficients through exactly."""
+    if path.stem == "symbols":
+        return
+    allowed = {("fourier_coeffs", "TrigPoly")} if path.stem == "matrixrep" \
+        else set()
+    bad = set(_isinstance_on_symbols(_tree(path))) - allowed
+    assert not bad, f"{path.stem} dispatches on symbol classes: {bad}"
