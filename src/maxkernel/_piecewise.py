@@ -12,8 +12,11 @@ This module owns the piece conventions, so no caller re-implements them:
     ``eval_pieces`` evaluates, ``cut_values`` gives the left and right
     value at every cut, and ``with_gaps`` tiles (0, end] with the gaps
     filled by pieces that have no terms;
-  * the last piece may run to b = inf: ``integrate_terms`` takes b = inf
-    and raises ValueError on a divergent tail;
+  * the last piece may run to b = inf: ``integrate_terms`` and
+    ``abs_integral`` (the integral of |f|) take b = inf and raise
+    ValueError on a divergent tail;
+  * ``variation`` is the variation over a band [lo, hi): the integral of
+    |f'| on every piece plus the jump at each cut c with lo <= c < hi;
   * ``coef_scale`` is the largest coefficient modulus, the scale that
     tolerances on piece values are taken relative to.
 
@@ -312,3 +315,44 @@ def _piece_value_range(terms: Sequence[Term], a: float, b: float
     xs = np.linspace(max(a, hi * 1e-12), hi, 8193)
     vals = np.real(eval_terms(terms, xs))
     return float(vals.min()), float(vals.max())
+
+
+# ---------------------------------------------------------------------------
+# |f| integrals and variation
+
+
+def abs_integral(terms: Sequence[Term], a: float, b: float) -> float:
+    """int_a^b |f| over one piece, b may be inf.
+
+    Exact between the roots of a real Laurent piece, adaptive quad
+    otherwise.  Raises ValueError on a divergent tail and on an unbounded
+    oscillatory piece.
+    """
+    w0 = _real_w0_terms(terms)
+    if w0 is not None:
+        nodes = [a] + _laurent_roots(w0, a, b) + [b]
+        return sum(abs(integrate_terms(terms, u, v).real)
+                   for u, v in zip(nodes[:-1], nodes[1:]))
+    if math.isinf(b):
+        raise ValueError("cannot integrate |f| over an unbounded "
+                         "oscillatory piece")
+    return quad(lambda u: abs(complex(eval_terms(terms, u))), a, b,
+                **_QUAD_KW)[0]
+
+
+def variation(pieces: Sequence[Piece], lo: float, hi: float) -> float:
+    """Total variation over [lo, hi), hi may be inf: the integral of |f'|
+    plus |jump| at every cut c with lo <= c < hi; inf when the slope part
+    diverges."""
+    total = 0.0
+    for a, b, terms in pieces:
+        u, v = max(a, lo), min(b, hi)
+        if u < v:
+            try:
+                total += abs_integral(derivative_terms(terms), u, v)
+            except ValueError:
+                return math.inf
+    for c, left, right in cut_values(pieces):
+        if lo <= c < hi:
+            total += abs(left - right)
+    return total

@@ -21,12 +21,10 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
-from ._piecewise import (Term, _laurent_roots, _piece_value_range,
-                         _real_w0_terms, abs2_terms, coef_scale, cut_values,
-                         derivative_terms, eval_terms, integrate_terms,
-                         mul_terms, with_gaps)
-from .symbols import (Interval, Step, Symbol, evaluate, modulus, support,
-                      to_pieces, variation_tail)
+from ._piecewise import (Term, _piece_value_range, abs2_terms, abs_integral,
+                         coef_scale, cut_values, derivative_terms, eval_pieces,
+                         integrate_terms, mul_terms, variation, with_gaps)
+from .symbols import Interval, Step, Symbol, modulus, support, to_pieces
 
 __all__ = [
     "Verdict", "x_p_integral", "s2_norm", "l1_norm", "tail_functional",
@@ -246,36 +244,20 @@ def l1_norm(s: Symbol) -> float:
 
     Raises when phi is not absolutely integrable.
     """
-    where = _not_integrable(s)
+    pieces = to_pieces(s)
+    where = _not_integrable(pieces)
     if where:
         raise ValueError(f"symbol is not integrable {where}")
-    total = 0.0
-    for a, b, terms in to_pieces(s):
-        w0 = _real_w0_terms(terms)
-        if w0:
-            nodes = [a] + _laurent_roots(w0, a, b) + [b]
-            for u, v in zip(nodes[:-1], nodes[1:]):
-                total += abs(np.real(integrate_terms(terms, u, v)))
-        elif w0 is not None:
-            pass  # identically zero piece
-        else:
-            if math.isinf(b):
-                raise ValueError(
-                    "cannot integrate |phi| for oscillatory unbounded pieces")
-            val, _ = quad(lambda u: abs(complex(
-                eval_terms(terms, np.atleast_1d(u))[0])), a, b,
-                limit=400, epsabs=1e-13, epsrel=1e-12)
-            total += val
-    return total
+    return sum(abs_integral(terms, a, b) for a, b, terms in pieces)
 
 
 # ---------------------------------------------------------------------------
 # variation norm
 
 
-def _origin_lead_power(s: Symbol) -> Optional[int]:
+def _origin_lead_power(pieces) -> Optional[int]:
     """Leading power of phi itself at 0+, None if support starts later."""
-    p0 = _origin_piece(to_pieces(s))
+    p0 = _origin_piece(pieces)
     if p0 is None:
         return None
     w0, has_osc = _w0_powers(p0[2])
@@ -284,9 +266,9 @@ def _origin_lead_power(s: Symbol) -> Optional[int]:
     return min(w0) if not has_osc else min(min(w0), 0)
 
 
-def _tail_lead_power(s: Symbol) -> Optional[int]:
+def _tail_lead_power(pieces) -> Optional[int]:
     """Leading power of phi at infinity, None if the support is compact."""
-    pt = _tail_piece(to_pieces(s))
+    pt = _tail_piece(pieces)
     if pt is None:
         return None
     w0, has_osc = _w0_powers(pt[2])
@@ -297,13 +279,13 @@ def _tail_lead_power(s: Symbol) -> Optional[int]:
     return max(w0)
 
 
-def _not_integrable(s: Symbol) -> Optional[str]:
+def _not_integrable(pieces) -> Optional[str]:
     """Where phi fails to be integrable by its leading powers ("near the
     origin" or "at infinity"), None if it is integrable."""
-    k0 = _origin_lead_power(s)
+    k0 = _origin_lead_power(pieces)
     if k0 is not None and k0 <= -1:
         return "near the origin"
-    kt = _tail_lead_power(s)
+    kt = _tail_lead_power(pieces)
     if kt is not None and kt >= -1:
         return "at infinity"
     return None
@@ -313,53 +295,43 @@ def y_p_norm(s: Symbol, p: float) -> float:
     """Weighted dyadic variation norm (sum_n 2^(np) v_n^p)^(1/p).
 
     v_n is the variation of phi over [2^n, 2^(n+1)), jumps at the left edge
-    included.  Every representable symbol other than a periodized
-    trigonometric one tends to 0 at infinity, so the vanishing-at-infinity
-    precondition is automatic; periodized symbols raise, as variation_tail
-    does.
+    included, integrated over that band alone.  Every representable symbol
+    other than a periodized trigonometric one tends to 0 at infinity, so
+    the vanishing-at-infinity precondition is automatic; periodized symbols
+    are not integrable and get inf.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     pieces = to_pieces(s)
     if not pieces:
         return 0.0
-    if _not_integrable(s):
+    if _not_integrable(pieces):
         return math.inf
 
-    finite_cuts = [a for a, _, _ in pieces if a > 0.0] + \
-        [b for _, b, _ in pieces if math.isfinite(b)]
-    x_top = max(finite_cuts) if finite_cuts else 1.0
-    n_top = math.floor(math.log2(x_top))
+    # the last finite cut: the end of a bounded support or the start of a
+    # tail (an integrable tail never starts at 0)
+    a, b, _ = pieces[-1]
+    bounded = math.isfinite(b)
+    n_top = math.floor(math.log2(b if bounded else a))
+
+    def band(n: int) -> float:
+        return (2.0 ** n * variation(pieces, 2.0 ** n, 2.0 ** (n + 1))) ** p
 
     total = 0.0
-    # upward sweep (only reaches past n_top for unbounded tails)
-    n = n_top
-    v_prev = variation_tail(s, 2.0 ** n)
-    while n <= n_top + 200:
-        v_next = variation_tail(s, 2.0 ** (n + 1))
-        vn = max(v_prev - v_next, 0.0)
-        term = (2.0 ** n * vn) ** p
+    # upward sweep: past band n_top only on a tail
+    for n in range(n_top, n_top + 201):
+        term = band(n)
         total += term
-        if v_next == 0.0:
+        if bounded or (term < 1e-18 * max(total, 1e-300) and n > n_top + 4):
             break
-        if term < 1e-18 * max(total, 1e-300) and n > n_top + 4:
-            break
-        v_prev = v_next
-        n += 1
     # downward sweep
     small = 0
-    n = n_top - 1
-    v_hi = variation_tail(s, 2.0 ** (n + 1))
-    while n >= n_top - 200:
-        v_lo = variation_tail(s, 2.0 ** n)
-        vn = max(v_lo - v_hi, 0.0)
-        term = (2.0 ** n * vn) ** p
+    for n in range(n_top - 1, n_top - 201, -1):
+        term = band(n)
         total += term
         small = small + 1 if term < 1e-18 * max(total, 1e-300) else 0
         if small >= 3:
             break
-        v_hi = v_lo
-        n -= 1
     return total ** (1.0 / p)
 
 
@@ -425,11 +397,11 @@ def monotone_profile_norm(s: Symbol, p: float) -> float:
     pieces = to_pieces(s)
     if not pieces:
         return 0.0
-    if _not_integrable(s):
+    if _not_integrable(pieces):
         return math.inf
 
     def f(x: float) -> float:
-        v = float(np.real(np.asarray(evaluate(s, x))))
+        v = float(np.real(eval_pieces(pieces, x)))
         return x ** (p - 1.0) * max(v, 0.0) ** p
 
     return _quad_over_pieces(f, pieces) ** (1.0 / p)
@@ -503,11 +475,12 @@ def detect_step(s: Symbol) -> Optional[int]:
 
 def trace_value(s: Symbol) -> complex:
     """Exact int_0^inf phi(x) dx; raises when phi is not integrable."""
-    where = _not_integrable(s)
+    pieces = to_pieces(s)
+    where = _not_integrable(pieces)
     if where:
         raise ValueError(f"symbol is not integrable {where}")
     total = 0.0 + 0.0j
-    for a, b, terms in to_pieces(s):
+    for a, b, terms in pieces:
         total += integrate_terms(terms, a, b)
     return total
 

@@ -8,8 +8,8 @@ run that made it.
 CSV numbers are written with repr (shortest round-trip form) and all
 reductions run in a fixed order, so re-running a job byte-identically
 reproduces the file.  Exit codes: 2 for unparseable or out-of-range input,
-3 for numeric failure inside a solve, 1 for acceptance-check failures under
-``verify``.
+3 for numeric failure inside a solve (running out of memory included), 1 for
+acceptance-check failures under ``verify``.
 """
 from __future__ import annotations
 
@@ -87,7 +87,8 @@ def _load_symbol(arg: str) -> Symbol:
         pass
     try:
         return symbol_from_json(text)
-    except (ValueError, KeyError, TypeError, OverflowError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError,
+            RecursionError) as e:
         raise SystemExit(
             f"cannot parse symbol (inline JSON or a readable path "
             f"expected): {e}") from e
@@ -346,6 +347,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"numeric failure: out of memory: {e}", file=sys.stderr)
         return 3
 
 

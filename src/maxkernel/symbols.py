@@ -29,9 +29,8 @@ from typing import Union
 import numpy as np
 from scipy.integrate import quad
 
-from ._piecewise import (Piece, _laurent_roots, _real_w0_terms, _terms_at,
-                         abs2_terms, cut_values, derivative_terms, eval_pieces,
-                         eval_terms, integrate_terms, merge_terms, shift_terms)
+from ._piecewise import (Piece, _terms_at, abs2_terms, eval_pieces,
+                         integrate_terms, merge_terms, shift_terms, variation)
 
 __all__ = [
     "Interval", "Step", "PiecewisePoly", "TrigPoly", "Sampled", "Symbol",
@@ -307,46 +306,14 @@ def variation_tail(s: Symbol, x: float) -> float:
     """Total variation of phi over [x, inf), counting jump magnitudes.
 
     A jump exactly at x is included.  Periodically extended trigonometric
-    symbols are rejected (their variation tail is never finite and the
-    closed-form bookkeeping below does not apply).
+    symbols are rejected: their variation tail is never finite.
     """
     if x < 0:
         raise ValueError("x must be >= 0")
     if isinstance(s, TrigPoly) and s.periodic:
         raise ValueError(
             "variation is not defined for periodically extended symbols")
-
-    pieces = to_pieces(s)
-    total = 0.0
-    # slope contribution, splitting at derivative sign changes where exact
-    for a, b, terms in pieces:
-        lo = max(a, x)
-        if lo >= b:
-            continue
-        d = derivative_terms(terms)
-        if not d:
-            continue
-        w0 = _real_w0_terms(d)
-        if w0 is not None:
-            # real Laurent derivative: integrate |d| exactly between roots
-            hi = b if math.isfinite(b) else max(2 * lo, lo + 1) * 2 ** 40
-            nodes = [lo] + _laurent_roots(w0, lo, hi) + [b]
-            for u, v in zip(nodes[:-1], nodes[1:]):
-                try:
-                    total += abs(integrate_terms(d, u, v).real)
-                except ValueError:
-                    return math.inf
-        else:
-            if math.isinf(b):
-                return math.inf
-            val, _ = quad(lambda u: abs(eval_terms(d, u)), lo, b, **{
-                "epsabs": 1e-12, "epsrel": 1e-11, "limit": 400})
-            total += val
-    # jumps at cuts >= x, each added in turn after the slope terms
-    for c, left, right in cut_values(pieces):
-        if c >= x:
-            total += abs(left - right)
-    return total
+    return variation(to_pieces(s), x, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +474,14 @@ def _cplx_in(v) -> complex:
     return complex(*parts)
 
 
+def _real_in(v):
+    """A JSON number; float() and int() alone would take a string or a
+    bool."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ValueError(f"expected a real number, got {v!r}")
+    return v
+
+
 def symbol_to_json(s: Symbol) -> str:
     if isinstance(s, Step):
         d = {"kind": "step", "breakpoints": list(s.breakpoints),
@@ -539,22 +514,25 @@ def symbol_from_json(text: str) -> Symbol:
                          f"{type(d).__name__}")
     kind = d.get("kind")
     if kind == "step":
-        return Step(d["breakpoints"], [_cplx_in(v) for v in d["values"]])
+        return Step([_real_in(x) for x in d["breakpoints"]],
+                    [_cplx_in(v) for v in d["values"]])
     if kind == "ppoly":
+        lowest = d.get("lowest")
         return PiecewisePoly(
-            d["breakpoints"],
+            [_real_in(x) for x in d["breakpoints"]],
             [[_cplx_in(c) for c in p] for p in d["pieces"]],
-            d.get("lowest"),
-            [(_cplx_in(c), p) for c, p in d.get("tail", [])])
+            None if lowest is None else [_real_in(k) for k in lowest],
+            [(_cplx_in(c), _real_in(p)) for c, p in d.get("tail", [])])
     if kind == "trig":
         periodic = d.get("periodic", False)
         if not isinstance(periodic, bool):
             raise ValueError(f"periodic must be true or false, not "
                              f"{periodic!r}")
-        return TrigPoly(d["period"], [_cplx_in(c) for c in d["coeffs"]],
-                        periodic)
+        return TrigPoly(_real_in(d["period"]),
+                        [_cplx_in(c) for c in d["coeffs"]], periodic)
     if kind == "sampled":
-        return Sampled(d["grid"], [_cplx_in(v) for v in d["values"]],
+        return Sampled([_real_in(x) for x in d["grid"]],
+                       [_cplx_in(v) for v in d["values"]],
                        d.get("interpolation", "pl"))
     raise ValueError(
         f"unknown symbol kind {kind!r} (expected step, ppoly, trig or sampled)")

@@ -34,6 +34,32 @@ def test_l1_norm_divergent(inv_tail):
         classify.l1_norm(inv_tail)
 
 
+@pytest.mark.parametrize("p", [1.0, 0.75, 0.6])
+def test_y_p_norm_closed_forms(p, affine, indicator, inv_square_tail):
+    # 1 - x: v_n = 2^n for n <= -1, so sum_k 4^(-kp) = 1 / (4^p - 1)
+    assert classify.y_p_norm(affine, p) == \
+        pytest.approx((4.0 ** p - 1.0) ** (-1.0 / p), rel=1e-13)
+    # one unit jump at 1, in band 0
+    assert classify.y_p_norm(indicator, p) == pytest.approx(1.0, rel=1e-15)
+    # x^-2 on (1, inf): jump 1 plus slope 3/4 in band 0, then
+    # 2^n (4^-n - 4^-(n+1)) = 0.75 * 2^-n in band n >= 1
+    closed = (1.75 ** p + 0.75 ** p / (2.0 ** p - 1.0)) ** (1.0 / p)
+    assert classify.y_p_norm(inv_square_tail, p) == \
+        pytest.approx(closed, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.75, 0.6])
+def test_y_p_norm_cosine_band_series(p, cosine):
+    # cos 2 pi x on (0, 1]: the unit jump to 0 at 1 in band 0, variation 2
+    # on [1/2, 1), and cos(2 pi 2^n) - cos(2 pi 2^(n+1))
+    # = 2 sin(3 pi 2^n) sin(pi 2^n) on every band n <= -2
+    series = 1.0 + (0.5 * 2.0) ** p + math.fsum(
+        (2.0 ** n * 2.0 * math.sin(3 * math.pi * 2.0 ** n)
+         * math.sin(math.pi * 2.0 ** n)) ** p for n in range(-2, -80, -1))
+    assert classify.y_p_norm(cosine, p) == \
+        pytest.approx(series ** (1.0 / p), rel=1e-12)
+
+
 def test_trace_value(affine, tent, inv_square_tail, inv_tail):
     assert classify.trace_value(affine).real == pytest.approx(0.5)
     assert classify.trace_value(tent).real == pytest.approx(0.75)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maxkernel import sturm
 from maxkernel.cli import main
 
 AFFINE = '{"kind":"ppoly","breakpoints":[1.0],"pieces":[[1.0,-1.0]]}'
@@ -151,11 +156,83 @@ def test_loose_symbol_json_exit(capsys):
                f'"periodic":{periodic}}}'
         assert main(["classify", "--symbol", trig, "--p", "1"]) == 2
         assert "periodic must be true or false" in capsys.readouterr().err
+    for sym in ('{"kind":"step","breakpoints":"12","values":[1,2]}',
+                '{"kind":"step","breakpoints":[true],"values":[1]}',
+                '{"kind":"sampled","grid":"123","values":[1,2,3]}',
+                '{"kind":"trig","period":true,"coeffs":[1]}',
+                '{"kind":"trig","period":"1","coeffs":[1]}',
+                '{"kind":"ppoly","breakpoints":[1],"pieces":[[1]],'
+                '"lowest":[true]}',
+                '{"kind":"ppoly","breakpoints":[1],"pieces":[[]],'
+                '"tail":[[1,"-2"]]}'):
+        assert main(["classify", "--symbol", sym, "--p", "1"]) == 2
+        assert "expected a real number" in capsys.readouterr().err
+    deep = "[" * 100000 + "]" * 100000
+    assert main(["classify", "--symbol", deep, "--p", "1"]) == 2
+    assert "error: cannot parse symbol" in capsys.readouterr().err
     big = '{"kind":"step","breakpoints":[1],"values":[1' + "0" * 400 + ']}'
     assert main(["classify", "--symbol", big, "--p", "1"]) == 2
     assert "error: cannot parse symbol" in capsys.readouterr().err
     ok = '{"kind":"step","breakpoints":[1],"values":[[1,2]]}'
     assert main(["classify", "--symbol", ok, "--p", "1"]) == 0
+
+
+@st.composite
+def _symbol_dicts(draw):
+    """Valid symbol JSON objects of every kind, breakpoints on a 1/8 grid."""
+    bp = [x / 8 for x in sorted(draw(st.sets(st.integers(1, 40),
+                                             min_size=2, max_size=4)))]
+    nums = st.lists(st.integers(-8, 8).map(lambda k: k / 4),
+                    min_size=len(bp), max_size=len(bp))
+    kind = draw(st.sampled_from(["step", "ppoly", "trig", "sampled"]))
+    if kind == "step":
+        return {"kind": kind, "breakpoints": bp, "values": draw(nums)}
+    if kind == "ppoly":
+        return {"kind": kind, "breakpoints": bp,
+                "pieces": [[v, 1.0] for v in draw(nums)],
+                "lowest": [draw(st.integers(-1, 1)) for _ in bp],
+                "tail": [[1.0, -2], [0.5, -3]]}
+    if kind == "trig":
+        return {"kind": kind, "period": bp[-1], "coeffs": draw(nums)[:1] * 3,
+                "periodic": draw(st.booleans())}
+    return {"kind": kind, "grid": bp, "values": draw(nums),
+            "interpolation": draw(st.sampled_from(["pc", "pl"]))}
+
+
+def _paths(d):
+    """Every field, list element and pair element of a symbol object."""
+    out = []
+    for k, v in d.items():
+        out.append((k,))
+        for i, e in enumerate(v if isinstance(v, list) else []):
+            out.append((k, i))
+            if isinstance(e, list):
+                out += [(k, i, j) for j in range(len(e))]
+    return out
+
+
+REAL_FIELDS = ("breakpoints", "grid", "period", "lowest")
+_loose = st.one_of(st.sampled_from(["1", "0.5", "", True, False, None, {},
+                                    [], [[1, 2]], [[[]]]]),
+                   st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symbol_dicts(), st.data())
+def test_symbol_json_fuzz_exit(d, data):
+    path = data.draw(st.sampled_from(_paths(d)))
+    bad = data.draw(_loose)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["classify", "--symbol", json.dumps(d), "--p", "2"])
+    assert code in (0, 2, 3)
+    real = path[0] in REAL_FIELDS or path[0] == "tail" and path[2:] == (1,)
+    if real and isinstance(bad, (str, bool)):
+        assert code == 2
 
 
 def test_non_finite_symbol_exit(capsys):
@@ -195,6 +272,15 @@ def test_numeric_error_exit(capsys):
     assert "x_p norm is NaN" in capsys.readouterr().err
     assert main(["hankel", "--symbol", huge, "--format", "json"]) == 3
     assert "coverage is NaN" in capsys.readouterr().err
+
+
+def test_out_of_memory_exit(monkeypatch, capsys):
+    def exhausted(s, K):
+        raise MemoryError("Unable to allocate 1.75 TiB")
+    monkeypatch.setattr(sturm, "eigenvalues", exhausted)
+    assert main(["sturm", "--symbol", AFFINE, "--K", "100000"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: out of memory")
 
 
 def test_exp_method_requires_N(capsys):

@@ -64,6 +64,21 @@ def test_private_imports_only_from_piecewise(path):
     assert not bad, f"{path.stem} imports private names {bad}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_imports_are_used(path):
+    """Every imported name is read somewhere in the module, or re-exported
+    through its __all__."""
+    tree = _tree(path)
+    imported = {(a.asname or a.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = imported - read - set(_all_names(tree))
+    assert not unused, f"{path.stem} imports unused names {sorted(unused)}"
+
+
 def _private_defs(tree):
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
