@@ -45,7 +45,8 @@ from .symbols import Interval, Symbol, is_real_symbol, support, to_pieces
 __all__ = [
     "GalerkinMatrix", "SpectrumEstimate", "SchattenReport", "TriangularLimit",
     "galerkin_matrix", "singular_values", "spectrum", "step_exact_spectrum",
-    "schatten", "triangular_limit", "factor_residual", "truncation_point",
+    "schatten", "triangular_limit", "richardson", "factor_residual",
+    "truncation_point",
 ]
 
 MAX_DENSE = 4096  # dense solves (every singular value) above this are refused
@@ -450,6 +451,16 @@ def schatten(est: SpectrumEstimate, p: float) -> SchattenReport:
     return SchattenReport(p, norm, weak, bound)
 
 
+def richardson(s1, s2, s3):
+    """Two Richardson rounds over values on three doubled grids whose error
+    runs c2 h^2 + c4 h^4 + ...: r12 = (4 s2 - s1) / 3 and r23 = (4 s3 - s2)
+    / 3 remove the h^2 term, best = (16 r23 - r12) / 15 the h^4 term too.
+    Returns (r12, r23, best)."""
+    r12 = (4.0 * s2 - s1) / 3.0
+    r23 = (4.0 * s3 - s2) / 3.0
+    return r12, r23, (16.0 * r23 - r12) / 15.0
+
+
 def triangular_limit(s: Symbol, interval=None,
                      levels: tuple[int, ...] = (1024, 2048, 4096),
                      window: tuple[int, int] = (100, 400)) -> TriangularLimit:
@@ -477,10 +488,7 @@ def triangular_limit(s: Symbol, interval=None,
         gm = galerkin_matrix(s, interval, n, mask="lower")
         svals, _ = singular_values(gm)
         tri.append(svals[: hi_n + 1])
-    s1, s2, s3 = tri
-    r12 = (4.0 * s2 - s1) / 3.0
-    r23 = (4.0 * s3 - s2) / 3.0
-    best = (16.0 * r23 - r12) / 15.0
+    _, _, best = richardson(*tri)
     idx = np.arange(lo_n, hi_n + 1)
     vals = idx * best[lo_n: hi_n + 1]
     # fit n*s_n = a + b/(n + 1/2) over the window

@@ -11,12 +11,24 @@ with f = g, G(0) = 0 and g(b) = 0.  In Prufer form the angle obeys
     theta' = omega * (cos^2 theta - phi'(x) sin^2 theta),    theta(0) = 0,
 
 and theta(b) is strictly increasing in omega, so the n-th eigenvalue is the
-root of theta(b; omega) = (n + 1/2) pi.  On segments where phi' is constant
-both the angle and the (G, g) flow have closed forms (used whenever the
-symbol is piecewise linear); otherwise both are integrated with DOP853,
-breakpoints taken as mandatory nodes.  Either way one root finder, the
-Illinois variant of regula falsi (Dowell & Jarratt, BIT 11, 1971), solves
-for all K frequencies at once, each component in its own bracket.
+root of theta(b; omega) = (n + 1/2) pi.  The angle and the (G, g) flow serve
+three roles:
+
+* eigenvalues: on cells where phi is linear the flow has a closed form, and
+  one vectorized sweep over the cells gives theta(b) for all frequencies.
+  A piecewise-linear phi is swept on its own segments, exactly
+  ("closed-form").  Any other phi is replaced by its piecewise-linear
+  interpolant on nested cells aligned to its breakpoints, each level is
+  solved exactly, and two Richardson rounds over three levels remove the
+  h^2 and h^4 terms of the interpolation error (Pruess, SIAM J. Numer.
+  Anal. 10, 1973) ("pruess").  One root finder, the Illinois variant of
+  regula falsi (Dowell & Jarratt, BIT 11, 1971), solves for all K
+  frequencies at once, each component in its own bracket.
+* prufer_theta, the one-frequency probe: the closed-form sweep for
+  piecewise-linear phi, DOP853 on the angle ODE otherwise.
+* the boundary residual of each eigenvalue and shoot(): the (G, g) flow of
+  the true phi, in closed form or by DOP853, breakpoints taken as
+  mandatory nodes.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from ._piecewise import (_laurent_roots, _piece_value_range, _real_w0_terms,
                          _right_value, coef_scale, cut_values,
                          derivative_terms, eval_pieces, eval_terms, with_gaps)
 from .classify import canonical_step
+from .discretize import richardson
 from .symbols import Symbol, evaluate, is_real_symbol, support, to_pieces
 
 __all__ = [
@@ -42,11 +55,21 @@ __all__ = [
 ]
 
 _RTOL, _ATOL = 1e-12, 1e-13
-# The angle grows like omega * b, so hitting the 1e-10 convergence window
-# below needs local error well under rtol * theta_end; the angle ODE gets
-# tighter tolerances than the (G, g) flow for that reason.
+# The angle grows like omega * b, so a root of the DOP853 angle is only as
+# good as its local error relative to theta_end; the angle ODE gets tighter
+# tolerances than the (G, g) flow for that reason.
 _RTOL_ANGLE, _ATOL_ANGLE = 1e-13, 1e-14
-_THETA_TOL = 1e-10
+# Angle residual that ends the root search: at theta = pi/2 it leaves
+# omega about 1e-12 relative.  A bracket narrowed to rounding ends it too.
+_THETA_TOL = 1e-12
+# Interpolant cells over the support at the first level, the largest level,
+# and the agreement of successive one-round extrapolants that ends the
+# refinement.
+_FIRST_CELLS = 256
+_MAX_LEVEL = 9
+_RICHARDSON_RTOL = 1e-8
+# Largest (cells x frequencies) array one sweep holds.
+_BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,10 +82,16 @@ class PruferRun:
 
 @dataclass(frozen=True)
 class EigenResult:
+    """One eigenvalue.  method names the route that made it: "closed-form"
+    (phi piecewise linear, solved exactly) or "pruess" (the interpolants
+    extrapolated); error_estimate is the estimated relative error of omega.
+    Neither is part of to_json."""
     n: int
     omega: float
     lam: float
     boundary_residual: float
+    method: str
+    error_estimate: float
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "omega": self.omega,
@@ -71,17 +100,43 @@ class EigenResult:
 
 
 class _Problem:
-    """Validated shooting problem: slope segments covering (0, b]."""
+    """Validated shooting problem: the pieces of phi tiling (0, b], with
+    -phi' per piece when every piece is linear."""
 
-    def __init__(self, b, segments, slopes):
+    def __init__(self, b, pieces):
         self.b = b
-        self.segments = segments      # [(x0, x1, derivative terms)]
-        self.slopes = slopes          # [-phi' per segment] or None (ODE route)
-        self.dfuns = [_scalar_slope(dt) for _, _, dt in segments]
+        self.pieces = pieces
+        self.segments = [(x0, x1, derivative_terms(terms))
+                         for x0, x1, terms in pieces]
+        self.slopes: Optional[list[float]] = None  # -phi' per segment
+        self.dfuns = [_scalar_slope(dt) for _, _, dt in self.segments]
 
     @property
     def closed_form(self) -> bool:
         return self.slopes is not None
+
+    def cells(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Widths h and slopes c = -phi' >= 0 of the cells on which phi is
+        linear or interpolated linearly.  A piecewise-linear phi has its
+        segments as cells at every level.  Otherwise each piece gets
+        max(1, round(256 len / b)) equal cells, times 2**level, so the
+        levels nest; c is the secant slope (phi_k - phi_(k+1)) / h_k, and
+        each piece is evaluated from its own terms, which at x = 0 gives
+        the right limit."""
+        if self.closed_form:
+            h = np.array([x1 - x0 for x0, x1, _ in self.pieces])
+            return h, np.maximum(np.array(self.slopes), 0.0)
+        hs, cs = [], []
+        for x0, x1, terms in self.pieces:
+            count = max(1, round(_FIRST_CELLS * (x1 - x0) / self.b)) \
+                << level
+            nodes = np.linspace(x0, x1, count + 1)
+            phi = np.real(eval_terms(terms, nodes)) if terms \
+                else np.zeros(count + 1)
+            h = np.diff(nodes)
+            hs.append(h)
+            cs.append(np.maximum((phi[:-1] - phi[1:]) / h, 0.0))
+        return np.concatenate(hs), np.concatenate(cs)
 
 
 def _scalar_slope(dt):
@@ -126,10 +181,9 @@ def _validate(s: Symbol, need_root_at_b: bool) -> _Problem:
         raise ValueError(
             "phi must vanish at the right end of its support; subtract the "
             "terminal value first (symbols.subtract_terminal)")
-    segs = [(a, bb, derivative_terms(terms))
-            for a, bb, terms in with_gaps(pieces)]
+    prob = _Problem(b, with_gaps(pieces))
     slopes: Optional[list[float]] = []
-    for x0, x1, dt in segs:
+    for x0, x1, dt in prob.segments:
         if not dt:
             if slopes is not None:
                 slopes.append(0.0)
@@ -146,7 +200,8 @@ def _validate(s: Symbol, need_root_at_b: bool) -> _Problem:
             slopes.append(-sum(c for c, _ in w0))
         else:
             slopes = None
-    return _Problem(b, segs, slopes)
+    prob.slopes = slopes
+    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -162,29 +217,84 @@ def _advance_flat(theta: np.ndarray, wdx: np.ndarray) -> np.ndarray:
     return np.where(np.abs(c) < 1e-300, theta, out)
 
 
-def _advance_slope(theta: np.ndarray, mu_dx: np.ndarray, c: float
-                   ) -> np.ndarray:
-    """theta' = w (cos^2 + c sin^2), c > 0: the stretched angle
-    psi = atan2(sqrt(c) sin theta, cos theta) advances by sqrt(c) w dx."""
-    rc = math.sqrt(c)
-    k = np.floor(theta / math.pi)
-    tf = theta - k * math.pi
-    psi = k * math.pi + np.arctan2(rc * np.sin(tf), np.cos(tf)) + mu_dx
-    k2 = np.floor(psi / math.pi)
-    pf = psi - k2 * math.pi
-    return k2 * math.pi + np.arctan2(np.sin(pf), rc * np.cos(pf))
+def _sweep(h: np.ndarray, c: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """theta(b; omega) of the piecewise-linear phi with cell widths h and
+    slopes -phi' = c >= 0, exact for that phi.
+
+    In the scaled coordinates (omega G, g) a cell is the 2x2 flow
+    [[cos t, S], [-c S, cos t]] with t = omega h sqrt(c) and
+    S = sin(t) / sqrt(c) = omega h sinc(t), so flat cells need no special
+    case.  On a cell the stretched angle psi = atan2(sqrt(c) omega G, g)
+    advances by exactly t, and eps = theta - psi is pi-periodic, so the
+    cell lifts theta by t + eps(theta_end) - eps(theta_start) and only the directions
+    at the cell ends are needed.  Summed over the cells, the theta parts of
+    eps telescope: theta(b) = omega int sqrt(c) + red(theta(b))
+    + sum_k [psi_k(start) - psi_k(end)], with red the angle reduced to
+    (-pi/2, pi/2].  Frequencies go in blocks of at most _BLOCK_FLOATS
+    (cells x frequencies).
+    """
+    n = len(h)
+    size = math.isqrt(n - 1) + 1           # cells per block, about sqrt(n)
+    blocks = -(-n // size)
+    pad = np.zeros(blocks * size - n)      # identity cells
+    hb = np.concatenate([h, pad]).reshape(blocks, size).T
+    cb = np.concatenate([c, pad]).reshape(blocks, size).T
+    length = float(np.dot(np.sqrt(c), h))
+    step = max(1, _BLOCK_FLOATS // (blocks * size))
+    out = np.empty(len(omegas))
+    for i in range(0, len(omegas), step):
+        w = omegas[i:i + step]
+        out[i:i + step] = w * length + _psi_sum(hb, cb, w)
+    return out
+
+
+def _reduced_psi(rc, u, g):
+    """atan(rc u / g) in [-pi/2, pi/2], at g = 0 too."""
+    return np.arctan2(rc * (u * np.copysign(1.0, g)), np.abs(g))
+
+
+def _psi_sum(hb, cb, w):
+    """red(theta(b)) + sum_k [psi_k(start) - psi_k(end)] for cells laid out
+    as (position in block, block), frequencies w."""
+    size, blocks = hb.shape
+    rcb = np.sqrt(cb)
+    cos = np.empty((size, blocks, len(w)))
+    sin = np.empty_like(cos)
+    # transfer [[a, b], [c, d]] of every block: the product over its cells
+    a, b = np.ones((blocks, len(w))), np.zeros((blocks, len(w)))
+    c, d = b.copy(), a.copy()
+    for j in range(size):
+        wh = hb[j][:, None] * w
+        t = wh * rcb[j][:, None]
+        cos[j] = np.cos(t)
+        sin[j] = wh * np.sinc(t / math.pi)
+        cs = cb[j][:, None] * sin[j]
+        a, b, c, d = (cos[j] * a + sin[j] * c, cos[j] * b + sin[j] * d,
+                      cos[j] * c - cs * a, cos[j] * d - cs * b)
+    # state at every block start, carried across the blocks from (0, 1)
+    u0, g0 = np.empty_like(a), np.empty_like(a)
+    u, g = np.zeros(len(w)), np.ones(len(w))
+    for k in range(blocks):
+        u0[k], g0[k] = u, g
+        u, g = a[k] * u + b[k] * g, c[k] * u + d[k] * g
+        r = np.hypot(u, g)
+        u, g = u / r, g / r
+    # every block again from its start state, adding up the psi terms
+    u, g = u0, g0
+    total = np.zeros_like(u0)
+    for j in range(size):
+        rc = rcb[j][:, None]
+        total += _reduced_psi(rc, u, g)
+        u, g = (cos[j] * u + sin[j] * g,
+                cos[j] * g - (cb[j][:, None] * sin[j]) * u)
+        total -= _reduced_psi(rc, u, g)
+    return total.sum(axis=0) + _reduced_psi(1.0, u[-1], g[-1])
 
 
 def _theta_end(prob: _Problem, omegas: np.ndarray) -> np.ndarray:
-    th = np.zeros_like(omegas)
     if prob.closed_form:
-        for (x0, x1, _), c in zip(prob.segments, prob.slopes):
-            dx = x1 - x0
-            if c <= 0.0:
-                th = _advance_flat(th, omegas * dx)
-            else:
-                th = _advance_slope(th, math.sqrt(c) * omegas * dx, c)
-        return th
+        return _sweep(*prob.cells(0), omegas)
+    th = np.zeros_like(omegas)
     for (x0, x1, _), dp in zip(prob.segments, prob.dfuns):
         if dp is None:
             th = _advance_flat(th, omegas * (x1 - x0))
@@ -327,47 +437,53 @@ def _slope_length(prob: _Problem) -> float:
                for x0, x1, dt in prob.segments if dt)
 
 
-def _roots_secant(prob: _Problem, targets: np.ndarray, length: float
-                  ) -> np.ndarray:
-    """Illinois regula falsi on the angle, one target per component.
+def _roots_secant(theta, targets: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Illinois regula falsi on the angle theta(omegas), one target per
+    component, from the brackets [lo, hi] widened until they hold the root.
 
     When the same bracket end moves twice running, the function value kept
     at the other end is halved; plain regula falsi would otherwise creep
-    towards the root from one side only."""
+    towards the root from one side only.  Returns the roots and the
+    relative error that the last angle residual leaves, read through the
+    bracket's secant slope."""
     K = len(targets)
-    w = targets / length
-    lo, hi = w * 0.5, w * 1.5
-    flo = _theta_end(prob, lo) - targets
+    lo, hi = lo.copy(), hi.copy()
+    flo = theta(lo) - targets
     for _ in range(80):
         bad = flo > 0
         if not bad.any():
             break
-        lo[bad] *= 0.5
-        flo[bad] = _theta_end(prob, lo[bad]) - targets[bad]
+        lo[bad] = np.maximum(lo - 2.0 * (hi - lo), 0.5 * lo)[bad]
+        flo[bad] = theta(lo[bad]) - targets[bad]
     else:
         raise RuntimeError("could not bracket from below")
-    fhi = _theta_end(prob, hi) - targets
+    fhi = theta(hi) - targets
     for _ in range(80):
         bad = fhi < 0
         if not bad.any():
             break
-        hi[bad] *= 2.0
-        fhi[bad] = _theta_end(prob, hi[bad]) - targets[bad]
+        hi[bad] = np.minimum(hi + 2.0 * (hi - lo), 2.0 * hi)[bad]
+        fhi[bad] = theta(hi[bad]) - targets[bad]
     else:
         raise RuntimeError("could not bracket from above")
     active = np.ones(K, dtype=bool)
     moved = np.zeros(K)  # -1: lo moved last, +1: hi moved last
     root = 0.5 * (lo + hi)
+    err = np.zeros(K)
     for _ in range(200):
         mid = hi - fhi * (hi - lo) / (fhi - flo)
         stuck = ~np.isfinite(mid) | (mid <= lo) | (mid >= hi)
         mid[stuck] = 0.5 * (lo + hi)[stuck]
         fmid = np.full(K, np.nan)
-        fmid[active] = _theta_end(prob, mid[active]) - targets[active]
+        fmid[active] = theta(mid[active]) - targets[active]
         root[active] = mid[active]
-        active &= ~(np.abs(fmid) < _THETA_TOL)
+        done = active & ((np.abs(fmid) < _THETA_TOL)
+                         | (hi - lo <= 4e-16 * mid))
+        err[done] = (np.abs(fmid) * (hi - lo) / (fhi - flo) / mid)[done]
+        active &= ~done
         if not active.any():
-            return root
+            return root, err
         up = active & (fmid < 0)
         dn = active & (fmid >= 0)
         fhi[up & (moved < 0)] *= 0.5
@@ -378,24 +494,61 @@ def _roots_secant(prob: _Problem, targets: np.ndarray, length: float
     raise RuntimeError("angle root search did not converge")
 
 
+def _pruess_roots(prob: _Problem, targets: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots for the interpolants on successively doubled cells,
+    extrapolated over the last three levels until the two one-round
+    extrapolants agree to _RICHARDSON_RTOL.  Each level's search starts
+    from a bracket around the root that the previous levels predict; the
+    error estimate is |R23 - R12| / R23."""
+    levels: list[np.ndarray] = []
+    for level in range(_MAX_LEVEL + 1):
+        h, c = prob.cells(level)
+        root, _ = _roots_secant(lambda om: _sweep(h, c, om), targets, lo, hi)
+        levels.append(root)
+        if len(levels) >= 3:
+            r12, r23, best = richardson(*levels[-3:])
+            err = np.abs(r23 - r12) / r23
+            if np.max(err) <= _RICHARDSON_RTOL:
+                return best, err
+        if len(levels) == 1:
+            center, half = root, 1e-4 * root
+        else:
+            # the interpolation error falls by 4 per level
+            shift = (root - levels[-2]) / 4.0
+            center, half = root + shift, np.abs(shift) + 1e-12 * root
+        lo, hi = center - half, center + half
+    raise RuntimeError("shooting extrapolation did not converge")
+
+
 def eigenvalues(s: Symbol, K: int) -> list[EigenResult]:
     """First K eigenvalues by monotone shooting on the Prufer angle.
 
     Each omega_n solves theta(b; omega) = (n + 1/2) pi to absolute accuracy
-    1e-10 in the angle; lambda_n = omega_n^(-2).  The reported residual
-    checks the original integral equation at x in {0, b/2, b}.
+    1e-12 in the angle, for phi itself when it is piecewise linear and
+    otherwise for its extrapolated interpolants; lambda_n = omega_n^(-2).
+    The reported residual checks the original integral equation at
+    x in {0, b/2, b}.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     prob = _validate(s, need_root_at_b=True)
     targets = (np.arange(K) + 0.5) * math.pi
-    L = _slope_length(prob)
-    if L <= 0.0:
+    length = _slope_length(prob)
+    if length <= 0.0:
         raise ValueError("phi has no decreasing part; spectrum is degenerate")
-    root = _roots_secant(prob, targets, L)
+    guess = targets / length
+    if prob.closed_form:
+        method = "closed-form"
+        root, err = _roots_secant(lambda om: _theta_end(prob, om), targets,
+                                  0.5 * guess, 1.5 * guess)
+    else:
+        method = "pruess"
+        root, err = _pruess_roots(prob, targets, 0.5 * guess, 1.5 * guess)
     resid = _boundary_residuals(s, prob, root)
     return [EigenResult(n, float(root[n]), float(root[n] ** -2.0),
-                        float(resid[n])) for n in range(K)]
+                        float(resid[n]), method, float(err[n]))
+            for n in range(K)]
 
 
 def asymptotic_constant(s: Symbol) -> float:

@@ -124,6 +124,19 @@ def test_triangular_limit_small_window(indicator):
     assert tl.predicted == pytest.approx(1 / math.pi)
 
 
+def test_richardson_removes_h2_and_h4():
+    # values 1 + 3 h^2 - 5 h^4 + 7 h^6 on h = 1/8, 1/16, 1/32
+    h = np.array([1 / 8, 1 / 16, 1 / 32])
+    s = 1.0 + 3.0 * h ** 2 - 5.0 * h ** 4 + 7.0 * h ** 6
+    r12, r23, best = discretize.richardson(*s)
+    # one round leaves 5 h^4 / 4 - 35 h^6 / 16 of each pair's coarse h,
+    # the second 7 h^6 / 64 of the coarsest
+    for r, hc in ((r12, h[0]), (r23, h[1])):
+        assert r - 1.0 == pytest.approx(5 * hc ** 4 / 4 - 35 * hc ** 6 / 16,
+                                        rel=1e-9)
+    assert best - 1.0 == pytest.approx(7 * h[0] ** 6 / 64, rel=1e-6)
+
+
 def test_triangular_limit_validates_levels(indicator):
     with pytest.raises(ValueError):
         discretize.triangular_limit(indicator, levels=(256, 512, 768))

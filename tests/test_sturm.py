@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -86,9 +87,135 @@ def test_ode_route_matches_airy_roots(square):
     want = np.sqrt(k ** 3 / 2.0)
     assert len(want) == 40
     res = sturm.eigenvalues(square, 40)
-    assert sturm.prufer_theta(square, 1.0).method == "dop853"
+    assert {r.method for r in res} == {"pruess"}
     got = np.array([r.omega for r in res])
     assert np.max(np.abs(got / want - 1.0)) < 1e-9
+
+
+def test_closed_form_route_matches_tent_oracle(tent):
+    # G = x on the plateau (0, 1/2]; on (1/2, 1] G'' = -2 omega^2 G from
+    # G = 1/2, g = 1, so g(1) = 0 reads tan(mu/2) = 2/mu with
+    # mu = sqrt(2) omega: z = mu/2 solves z sin z = cos z on
+    # (n pi, n pi + pi/2)
+    res = sturm.eigenvalues(tent, 40)
+    assert {r.method for r in res} == {"closed-form"}
+    with mpmath.workdps(30):
+        for r in res:
+            lo = r.n * mpmath.pi
+            z = mpmath.findroot(lambda z: z * mpmath.sin(z) - mpmath.cos(z),
+                                (lo, lo + mpmath.pi / 2), solver="anderson")
+            want = float(mpmath.sqrt(2) * z)
+            assert r.omega == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _quadratic_pieces(knots, d):
+    """phi with phi(knots[-1]) = 0 whose slope -phi' runs linearly between
+    the values d at the knots."""
+    vals = np.zeros(len(knots))
+    for i in range(len(knots) - 2, -1, -1):
+        vals[i] = vals[i + 1] + 0.5 * (d[i] + d[i + 1]) * \
+            (knots[i + 1] - knots[i])
+    coeffs = []
+    for i in range(len(knots) - 1):
+        a = knots[i]
+        s = (d[i + 1] - d[i]) / (knots[i + 1] - a)
+        # phi(x) = vals[i] - d[i] (x - a) - s (x - a)^2 / 2
+        coeffs.append((vals[i] + d[i] * a - 0.5 * s * a * a,
+                       -d[i] + s * a, -0.5 * s))
+    return PiecewisePoly(list(knots[1:]), coeffs)
+
+
+@st.composite
+def quadratic_symbols(draw):
+    pieces = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.floats(0.2, 1.0), min_size=pieces,
+                           max_size=pieces))
+    # -phi' changes by a factor 0.6-0.9 or 1.1-1.6 over each piece, so no
+    # piece is linear
+    ratios = draw(st.lists(st.one_of(st.floats(0.6, 0.9),
+                                     st.floats(1.1, 1.6)),
+                           min_size=pieces, max_size=pieces))
+    slopes = draw(st.floats(0.5, 1.5)) * np.cumprod([1.0] + ratios)
+    b = draw(st.floats(0.5, 2.0))
+    knots = np.concatenate([[0.0], np.cumsum(widths)])
+    return _quadratic_pieces(knots * (b / knots[-1]), slopes)
+
+
+@given(quadratic_symbols())
+@settings(max_examples=4, deadline=None)
+def test_pruess_route_matches_dop853_angle(s):
+    calls = []
+    solve_ivp, residuals = sturm.solve_ivp, sturm._boundary_residuals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sturm, "solve_ivp",
+                   lambda *a, **k: calls.append("ivp") or solve_ivp(*a, **k))
+        mp.setattr(sturm, "_boundary_residuals",
+                   lambda *a: calls.append("residual") or residuals(*a))
+        res = sturm.eigenvalues(s, 32)
+    # the root search sweeps in closed form; DOP853 runs only for the
+    # residual flow of the true phi, after it
+    assert calls[0] == "residual"
+    assert {r.method for r in res} == {"pruess"}
+    assert max(r.boundary_residual for r in res) <= 1e-8
+    for n in (0, 15, 31):
+        w = res[n].omega
+
+        def angle(om, n=n):
+            return sturm.prufer_theta(s, om).theta_end - (n + 0.5) * math.pi
+
+        want = brentq(angle, w * (1.0 - 1e-9), w * (1.0 + 1e-9),
+                      xtol=1e-13 * w, rtol=1e-13)
+        assert w == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def _theta_per_cell(h, c, omegas):
+    """Reference for the sweep: the angle advanced cell by cell, tan theta
+    moving linearly on a flat cell and the stretched angle
+    atan2(sqrt(c) sin theta, cos theta) by sqrt(c) omega h on a sloped one."""
+    th = np.zeros_like(omegas)
+    for dx, ck in zip(h, c):
+        if ck == 0.0:
+            th = sturm._advance_flat(th, omegas * dx)
+            continue
+        rc = math.sqrt(ck)
+        k = np.floor(th / math.pi)
+        tf = th - k * math.pi
+        psi = k * math.pi + np.arctan2(rc * np.sin(tf), np.cos(tf)) \
+            + rc * omegas * dx
+        k2 = np.floor(psi / math.pi)
+        pf = psi - k2 * math.pi
+        th = k2 * math.pi + np.arctan2(np.sin(pf), rc * np.cos(pf))
+    return th
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep_matches_per_cell_advance(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    h = rng.uniform(1e-3, 0.1, n)
+    c = np.where(rng.random(n) < 0.3, 0.0, 10.0 ** rng.uniform(-4, 1, n))
+    om = np.sort(rng.uniform(0.1, 500.0, 25))
+    want = _theta_per_cell(h, c, om)
+    np.testing.assert_allclose(sturm._sweep(h, c, om), want, rtol=1e-12,
+                               atol=1e-12)
+
+
+def test_sweep_frequency_blocks_agree(monkeypatch, square):
+    h, c = sturm._validate(square, True).cells(2)
+    om = np.linspace(0.5, 300.0, 37)
+    whole = sturm._sweep(h, c, om)
+    monkeypatch.setattr(sturm, "_BLOCK_FLOATS", 5 * len(h))
+    np.testing.assert_allclose(sturm._sweep(h, c, om), whole,
+                               rtol=1e-15, atol=0.0)
+
+
+def test_error_estimates(affine, square):
+    exact = 1.0 / (np.pi * (np.arange(21) + 0.5))
+    for r in sturm.eigenvalues(affine, 21):
+        assert r.method == "closed-form"
+        assert abs(r.omega * exact[r.n] - 1.0) <= r.error_estimate + 1e-15
+    est = [r.error_estimate for r in sturm.eigenvalues(square, 32)]
+    assert 0.0 < max(est) <= 1e-8
 
 
 def test_root_search_does_not_stall(monkeypatch):
