@@ -226,12 +226,13 @@ def _sweep(h: np.ndarray, c: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     S = sin(t) / sqrt(c) = omega h sinc(t), so flat cells need no special
     case.  On a cell the stretched angle psi = atan2(sqrt(c) omega G, g)
     advances by exactly t, and eps = theta - psi is pi-periodic, so the
-    cell lifts theta by t + eps(theta_end) - eps(theta_start) and only the directions
-    at the cell ends are needed.  Summed over the cells, the theta parts of
-    eps telescope: theta(b) = omega int sqrt(c) + red(theta(b))
-    + sum_k [psi_k(start) - psi_k(end)], with red the angle reduced to
-    (-pi/2, pi/2].  Frequencies go in blocks of at most _BLOCK_FLOATS
-    (cells x frequencies).
+    cell lifts theta by t + eps(theta_end) - eps(theta_start), which needs
+    only the directions at the cell ends.  (On a flat cell psi = 0 and
+    theta never crosses a zero of g, so the same holds.)  Summed over the
+    cells, the theta parts of eps telescope: theta(b) = omega int sqrt(c)
+    + red(theta(b)) + sum_k [psi_k(start) - psi_k(end)], with red the angle
+    reduced to [-pi/2, pi/2].  Frequencies go in blocks of at most
+    _BLOCK_FLOATS (cells x frequencies).
     """
     n = len(h)
     size = math.isqrt(n - 1) + 1           # cells per block, about sqrt(n)
