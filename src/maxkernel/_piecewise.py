@@ -15,8 +15,13 @@ This module owns the piece conventions, so no caller re-implements them:
   * the last piece may run to b = inf: ``integrate_terms`` and
     ``abs_integral`` (the integral of |f|) take b = inf and raise
     ValueError on a divergent tail;
-  * ``variation`` is the variation over a band [lo, hi): the integral of
-    |f'| on every piece plus the jump at each cut c with lo <= c < hi;
+  * ``abs_integrals`` integrates |f| over many intervals of one piece at
+    once: exactly between the roots of a real Laurent piece, by adaptive
+    Gauss-Legendre panels otherwise, with quad only for an interval that
+    overruns its panel budget; ``abs_integral`` is its one-interval case;
+  * ``variation`` is the variation over bands [lo, hi): the integral of
+    |f'| on every piece plus the jump at each cut c with lo <= c < hi,
+    for one band or an array of them;
   * ``coef_scale`` is the largest coefficient modulus, the scale that
     tolerances on piece values are taken relative to.
 
@@ -321,38 +326,157 @@ def _piece_value_range(terms: Sequence[Term], a: float, b: float
 # |f| integrals and variation
 
 
-def abs_integral(terms: Sequence[Term], a: float, b: float) -> float:
-    """int_a^b |f| over one piece, b may be inf.
+def abs_integrals(terms: Sequence[Term], a, b) -> np.ndarray:
+    """int |f| over each interval [a_i, b_i] of one piece; b_i may be inf.
 
-    Exact between the roots of a real Laurent piece, adaptive quad
-    otherwise.  Raises ValueError on a divergent tail and on an unbounded
-    oscillatory piece.
+    A real Laurent piece is integrated exactly between its roots.  Any
+    other piece gets adaptive Gauss-Legendre panels, all intervals in one
+    pass per refinement; an interval still unsettled after _PANEL_BUDGET
+    panels falls back to quad.  An unbounded interval gives inf when the
+    tail diverges or the piece is not a real Laurent piece.
     """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
     w0 = _real_w0_terms(terms)
     if w0 is not None:
-        nodes = [a] + _laurent_roots(w0, a, b) + [b]
-        return sum(abs(integrate_terms(terms, u, v).real)
-                   for u, v in zip(nodes[:-1], nodes[1:]))
-    if math.isinf(b):
-        raise ValueError("cannot integrate |f| over an unbounded "
-                         "oscillatory piece")
-    return quad(lambda u: abs(complex(eval_terms(terms, u))), a, b,
-                **_QUAD_KW)[0]
+        return _laurent_abs_integrals(terms, w0, a, b)
+    out = np.full(a.shape, math.inf)
+    fin = np.isfinite(b)
+    out[fin] = _gauss_abs_integrals(terms, a[fin], b[fin])
+    return out
 
 
-def variation(pieces: Sequence[Piece], lo: float, hi: float) -> float:
-    """Total variation over [lo, hi), hi may be inf: the integral of |f'|
-    plus |jump| at every cut c with lo <= c < hi; inf when the slope part
-    diverges."""
-    total = 0.0
+def abs_integral(terms: Sequence[Term], a: float, b: float) -> float:
+    """int_a^b |f| over one piece, b may be inf: abs_integrals on one
+    interval.  Raises ValueError on a divergent tail and on an unbounded
+    piece that is not a real Laurent piece.
+    """
+    val = float(abs_integrals(terms, a, b)[0])
+    if math.isinf(val) and math.isinf(b):
+        raise ValueError("|f| is not integrable to infinity on this piece")
+    return val
+
+
+def _laurent_abs_integrals(terms, w0, a: np.ndarray, b: np.ndarray
+                           ) -> np.ndarray:
+    """Sum of |int f| between the roots of a real Laurent piece inside each
+    [a_i, b_i], summed in ascending order."""
+    with np.errstate(over="ignore"):  # past 2^943 every root counts
+        hi = np.where(np.isfinite(b), b, np.maximum(a, 1.0) * 2.0 ** 80)
+    roots = np.array(_laurent_roots(w0, float(a.min()), float(hi.max())))
+    # roots outside an interval collapse onto its ends: empty segments
+    inside = (roots > a[:, None]) & (roots < hi[:, None])
+    mid = np.where(inside, roots,
+                   np.where(roots <= a[:, None], a[:, None], b[:, None]))
+    edges = np.column_stack([a, mid, b])
+    lo, up = edges[:, :-1], edges[:, 1:]
+    seg = np.zeros(lo.shape, dtype=complex)
+    body = (lo < up) & np.isfinite(up)
+    for c, p, w in terms:
+        seg[body] += (_antideriv_term(c, p, w, up[body])
+                      - _antideriv_term(c, p, w, lo[body]))
+    for i, j in zip(*np.nonzero((lo < up) & np.isinf(up))):
+        try:
+            seg[i, j] = integrate_terms_to_inf(terms, lo[i, j])
+        except ValueError:
+            seg[i, j] = math.inf
+    out = np.zeros(len(a))
+    for col in np.abs(seg.real).T:
+        out += col
+    return out
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+_PANEL_BUDGET = 2000  # panels one interval may use before quad takes over
+
+
+def _gauss_abs(terms: Sequence[Term], u: np.ndarray, v: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre int |f| over each panel [u_k, v_k], and a
+    bound on what the rule misses next to the panel's ends.
+
+    |f| has a kink where f passes through 0.  A kink between an end and
+    the nearest node is invisible to the rule, but f turns by more than a
+    right angle between those two samples; the miss is then at most twice
+    the gap times |f| at the end.
+    """
+    half = 0.5 * (v - u)
+    x = (0.5 * (u + v))[:, None] + half[:, None] * _GAUSS_X
+    f = eval_terms(terms, np.column_stack([u, x, v]))
+    total = half * (np.abs(f[:, 1:-1]) * _GAUSS_W).sum(axis=1)
+    gap = half * (1.0 - _GAUSS_X[-1])
+    miss = np.zeros(len(u))
+    for end, node in ((0, 1), (-1, -2)):
+        turned = np.real(f[:, end] * np.conj(f[:, node])) < 0
+        miss += np.where(turned, 2.0 * gap * np.abs(f[:, end]), 0.0)
+    return total, miss
+
+
+def _gauss_abs_integrals(terms: Sequence[Term], a: np.ndarray,
+                         b: np.ndarray) -> np.ndarray:
+    """Adaptive Gauss-Legendre int |f| over each finite [a_i, b_i].
+
+    Each interval starts with one panel per half period of the fastest
+    term.  A panel is bisected while its halves, plus what they may miss
+    at their ends, differ from it by more than the quad tolerances (1e-12
+    relative, 1e-13 * coef scale per unit length); all live panels are
+    evaluated in one eval_terms call.
+    """
+    n = a.size
+    wmax = max((abs(w) for _, _, w in terms), default=0.0)
+    tol_abs = _QUAD_KW["epsabs"] * max(
+        (abs(complex(c)) for c, _, _ in terms), default=0.0)
+    k = np.clip(np.ceil(wmax * (b - a) / math.pi), 1, _PANEL_BUDGET + 1
+                ).astype(np.int64)
+    fallback = k > _PANEL_BUDGET
+    k[fallback] = 0
+    used = k.copy()
+    owner = np.repeat(np.arange(n), k)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(k) - k, k)
+    kj, aj, wj = k[owner], a[owner], (b - a)[owner]
+    u = aj + wj * (j / kj)
+    v = np.where(j + 1 == kj, b[owner], aj + wj * ((j + 1) / kj))
+    whole = _gauss_abs(terms, u, v)[0]
+    out = np.zeros(n)
+    while owner.size:
+        mid = 0.5 * (u + v)
+        halves, miss = _gauss_abs(terms, np.concatenate([u, mid]),
+                                  np.concatenate([mid, v]))
+        left, right = halves[:owner.size], halves[owner.size:]
+        est = left + right
+        err = np.abs(est - whole) + miss[:owner.size] + miss[owner.size:]
+        ok = err <= np.maximum(_QUAD_KW["epsrel"] * est, tol_abs * (v - u))
+        out += np.bincount(owner[ok], est[ok], minlength=n)
+        used += 2 * np.bincount(owner[~ok], minlength=n)
+        spent = used > _PANEL_BUDGET
+        fallback |= spent
+        split = ~ok & ~spent[owner]
+        owner = np.concatenate([owner[split], owner[split]])
+        u, v = (np.concatenate([u[split], mid[split]]),
+                np.concatenate([mid[split], v[split]]))
+        whole = np.concatenate([left[split], right[split]])
+    for i in np.flatnonzero(fallback):
+        out[i] = quad(lambda x: abs(complex(eval_terms(terms, x))),
+                      a[i], b[i], **_QUAD_KW)[0]
+    return out
+
+
+def variation(pieces: Sequence[Piece], lo, hi):
+    """Total variation over each band [lo_i, hi_i), hi may be inf: the
+    integral of |f'| plus |jump| at every cut c with lo <= c < hi; inf when
+    the slope part diverges.  Scalar lo and hi mean one band and give a
+    float; arrays give an array from one abs_integrals call per piece.
+    """
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    total = np.zeros(lo.shape)
     for a, b, terms in pieces:
-        u, v = max(a, lo), min(b, hi)
-        if u < v:
-            try:
-                total += abs_integral(derivative_terms(terms), u, v)
-            except ValueError:
-                return math.inf
+        u, v = np.maximum(lo, a), np.minimum(hi, b)
+        hit = u < v
+        if hit.any():
+            total[hit] += abs_integrals(derivative_terms(terms), u[hit],
+                                        v[hit])
     for c, left, right in cut_values(pieces):
-        if lo <= c < hi:
-            total += abs(left - right)
-    return total
+        total[(lo <= c) & (c < hi)] += abs(left - right)
+    return float(total[0]) if scalar else total

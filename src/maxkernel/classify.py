@@ -291,6 +291,11 @@ def _not_integrable(pieces) -> Optional[str]:
     return None
 
 
+# bands per variation call in y_p_norm: the sum of a symbol whose slope
+# stays bounded at 0 stops within about 40 bands below its top one
+_BAND_CHUNK = 64
+
+
 def y_p_norm(s: Symbol, p: float) -> float:
     """Weighted dyadic variation norm (sum_n 2^(np) v_n^p)^(1/p).
 
@@ -314,20 +319,27 @@ def y_p_norm(s: Symbol, p: float) -> float:
     bounded = math.isfinite(b)
     n_top = math.floor(math.log2(b if bounded else a))
 
-    def band(n: int) -> float:
-        return (2.0 ** n * variation(pieces, 2.0 ** n, 2.0 ** (n + 1))) ** p
+    def weighted(ns):
+        """(n, (2^n v_n)^p) for n in ns, _BAND_CHUNK bands per variation
+        call."""
+        for i in range(0, len(ns), _BAND_CHUNK):
+            part = ns[i:i + _BAND_CHUNK]
+            lo = np.array([2.0 ** n for n in part])
+            with np.errstate(over="ignore"):  # band 1023 runs to inf
+                hi = 2.0 * lo
+            for n, v in zip(part, variation(pieces, lo, hi)):
+                yield n, (2.0 ** n * float(v)) ** p
 
     total = 0.0
-    # upward sweep: past band n_top only on a tail
-    for n in range(n_top, n_top + 201):
-        term = band(n)
+    # upward sweep: past band n_top only on a tail, and below 2^1023
+    up = range(n_top, n_top + 1 if bounded else min(n_top + 201, 1023))
+    for n, term in weighted(up):
         total += term
         if bounded or (term < 1e-18 * max(total, 1e-300) and n > n_top + 4):
             break
     # downward sweep
     small = 0
-    for n in range(n_top - 1, n_top - 201, -1):
-        term = band(n)
+    for n, term in weighted(range(n_top - 1, n_top - 201, -1)):
         total += term
         small = small + 1 if term < 1e-18 * max(total, 1e-300) else 0
         if small >= 3:

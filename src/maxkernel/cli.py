@@ -14,6 +14,7 @@ acceptance-check failures under ``verify``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -264,7 +265,9 @@ def cmd_verify(args) -> int:
     return 1 if any(not r.passed for r in results) else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="maxkernel",
         description="spectral analysis of kernels phi(max(x, y))")

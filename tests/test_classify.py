@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -46,6 +47,14 @@ def test_y_p_norm_closed_forms(p, affine, indicator, inv_square_tail):
     closed = (1.75 ** p + 0.75 ** p / (2.0 ** p - 1.0)) ** (1.0 / p)
     assert classify.y_p_norm(inv_square_tail, p) == \
         pytest.approx(closed, rel=1e-13)
+
+
+def test_y_p_norm_top_band_runs_to_infinity():
+    # a unit drop at 1e308, past 2^1023: its band [2^1023, 2^1024) has an
+    # upper edge beyond the floats, so it runs to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify.y_p_norm(Step([1e308], [-1.0]), 1.0) == 2.0 ** 1023
 
 
 @pytest.mark.parametrize("p", [1.0, 0.75, 0.6])

@@ -5,9 +5,11 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from maxkernel import sturm
+from maxkernel import _piecewise, classify, sturm
 from maxkernel.cli import main
+from maxkernel.symbols import TrigPoly, symbol_to_json
 
 AFFINE = '{"kind":"ppoly","breakpoints":[1.0],"pieces":[[1.0,-1.0]]}'
 TWO_STEP = '{"kind":"step","breakpoints":[1.0,2.0],"values":[2.0,1.0]}'
@@ -108,6 +110,47 @@ def test_verify_unknown_family(capsys):
     assert main(["verify", "--only", "nonsense"]) == 2
     assert main(["verify", "--only", "kronecker,nonsense"]) == 2
     assert main(["verify", "--only", ","]) == 2
+
+
+def test_repeated_main_calls_match(capsys):
+    # the parser is built once per process; a usage error in between must
+    # not change what a later call prints or returns
+    calls = [["classify", "--symbol", AFFINE, "--p", "2,0.75"],
+             ["classify", "--symbol", AFFINE, "--p"],
+             ["sturm", "--symbol", AFFINE, "--K", "2", "--format", "json"],
+             ["nonsense"], ["hankel", "--help"]]
+    first = []
+    for argv in calls:
+        code = main(argv)
+        first.append((code, capsys.readouterr()))
+    assert [code for code, _ in first] == [0, 2, 0, 2, 0]
+    for argv, want in zip(calls[::-1], first[::-1]):
+        assert (main(argv), capsys.readouterr()) == want
+
+
+def test_trig_classify_makes_no_quad_call(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(_piecewise, "quad", counted)
+    monkeypatch.setattr(classify, "quad", counted)
+    complex_trig = TrigPoly(1.0, [0.3 - 0.2j, -0.5 + 0.4j, 0.8 + 0.1j,
+                                  0.2 - 0.6j, -0.4 - 0.3j])
+    real_trig = TrigPoly(1.3, [0.2 - 0.1j, 0.4 + 0.3j, 0.7, 0.4 - 0.3j,
+                               0.2 + 0.1j])
+    for s in (complex_trig, real_trig):
+        out = tmp_path / "classify.json"
+        assert main(["classify", "--symbol", symbol_to_json(s), "--p",
+                     "2,1,0.75,0.4", "--format", "json",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())["results"]["schatten"]
+        assert [r["criterion"] for r in doc] == [
+            "xp-norm", "yp-variation", "yp-variation",
+            "smooth-slope-exclusion"]
+    assert calls == []
 
 
 def test_parse_error_exit(capsys):
