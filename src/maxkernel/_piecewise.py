@@ -32,8 +32,8 @@ Antiderivatives:
     to adaptive quadrature (only reachable through Fourier coefficients of
     Laurent pieces, which none of the standard constructions produce).
 
-Real Laurent pieces (real coefficients, freq == 0) also get exact roots,
-end limits and value ranges here.
+Real Laurent pieces (real coefficients, freq == 0) get exact roots, end
+limits and value ranges; ``end_power`` is the one reader of leading powers.
 """
 
 from __future__ import annotations
@@ -245,6 +245,29 @@ def coef_scale(pieces: Sequence[Piece]) -> float:
                default=0.0)
 
 
+def end_power(terms: Sequence[Term], end: str
+              ) -> Optional[tuple[int, complex]]:
+    """Leading behaviour (k, c) of merged terms at 0+ ('lo') or +inf ('hi').
+
+    k is the lowest ('lo') or highest ('hi') power among the nonzero
+    terms, an oscillating term counting as power 0; c is the coefficient of
+    x^k among the non-oscillating terms (0 when only oscillation sits
+    there).  None when no nonzero term is left.  Raises ValueError for an
+    oscillating term with a negative power, which the symbol algebra never
+    produces and whose end behaviour this reading would get wrong.
+    """
+    k = None
+    for c, p, w in terms:
+        if w != 0.0 and p < 0:
+            raise ValueError("oscillatory term with negative power")
+        q = p if w == 0.0 else 0
+        if c != 0 and (k is None or (q < k if end == "lo" else q > k)):
+            k = q
+    if k is None:
+        return None
+    return k, sum(c for c, p, w in terms if p == k and w == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # real Laurent pieces: roots, end limits and value ranges
 
@@ -281,12 +304,11 @@ def _laurent_roots(w0: list[tuple[float, int]], a: float, b: float
     return sorted(out)
 
 
-def _laurent_end_limit(w0: list[tuple[float, int]], end: str) -> float:
-    """Limit of a real Laurent polynomial at 0+ ('lo') or +inf ('hi')."""
-    k = min(p for _, p in w0) if end == "lo" else max(p for _, p in w0)
-    ck = sum(c for c, p in w0 if p == k)
-    outgrows = (k < 0) if end == "lo" else (k > 0)
-    if outgrows:
+def _laurent_end_limit(terms: Sequence[Term], end: str) -> float:
+    """Limit of a real Laurent piece at 0+ ('lo') or +inf ('hi')."""
+    k, ck = end_power(terms, end)
+    ck = float(np.real(ck))
+    if (k < 0) if end == "lo" else (k > 0):
         return math.copysign(math.inf, ck)
     return ck if k == 0 else 0.0
 
@@ -303,11 +325,11 @@ def _piece_value_range(terms: Sequence[Term], a: float, b: float
         if a > 0.0:
             pts.append(a)
         else:
-            lims.append(_laurent_end_limit(w0, "lo"))
+            lims.append(_laurent_end_limit(terms, "lo"))
         if math.isfinite(b):
             pts.append(b)
         else:
-            lims.append(_laurent_end_limit(w0, "hi"))
+            lims.append(_laurent_end_limit(terms, "hi"))
         mn = min(lims, default=math.inf)
         mx = max(lims, default=-math.inf)
         if pts:

@@ -22,8 +22,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from ._piecewise import (Term, _piece_value_range, abs2_terms, abs_integral,
-                         coef_scale, cut_values, derivative_terms, eval_pieces,
-                         integrate_terms, mul_terms, variation, with_gaps)
+                         coef_scale, cut_values, derivative_terms, end_power,
+                         eval_pieces, integrate_terms, mul_terms, variation,
+                         with_gaps)
 from .symbols import Interval, Step, Symbol, modulus, support, to_pieces
 
 __all__ = [
@@ -63,72 +64,25 @@ class Verdict:
                            "norms": dict(self.norms)})
 
 
-# ---------------------------------------------------------------------------
-# structural piece analysis (leading powers at the two ends)
-
-
-def _origin_piece(pieces):
-    return pieces[0] if pieces and pieces[0][0] == 0.0 else None
-
-
-def _tail_piece(pieces):
-    return pieces[-1] if pieces and math.isinf(pieces[-1][1]) else None
-
-
-def _w0_powers(terms) -> tuple[dict, bool]:
-    """({power: coefficient} over zero-frequency terms, any-oscillation flag).
-
-    Raises if an oscillatory term carries a negative power; the symbol
-    algebra never produces those and the end-point analysis below would be
-    wrong for them.
-    """
-    out: dict[int, complex] = {}
-    has_osc = False
-    for c, p, w in terms:
-        if c == 0:
-            continue
-        if w != 0.0:
-            if p < 0:
-                raise ValueError("oscillatory term with negative power")
-            has_osc = True
-            continue
-        out[p] = out.get(p, 0.0) + c
-    return {p: c for p, c in out.items() if c != 0}, has_osc
-
-
 def tail_functional_limits(s: Symbol) -> tuple[float, float]:
     """Limits of x * int_x^inf |phi|^2 at x -> 0 and x -> inf.
 
-    Both limits exist for every representable symbol; they decide
+    Both limits exist for every representable symbol and are read off the
+    end powers of |phi|^2 (end_power): a leading x^-2 gives its
+    coefficient, a stronger one inf, a weaker one 0.  They decide
     boundedness (finite) and compactness (zero).
     """
     pieces = to_pieces(s)
-    if not pieces:
-        return 0.0, 0.0
-    at0 = 0.0
-    p0 = _origin_piece(pieces)
-    if p0 is not None:
-        w0, _ = _w0_powers(abs2_terms(p0[2]))
-        if w0:
-            qmin = min(w0)
-            if qmin < -2:
-                at0 = math.inf
-            elif qmin == -2:
-                at0 = float(np.real(w0[-2]))
-    atinf = 0.0
-    pt = _tail_piece(pieces)
-    if pt is not None:
-        w0, _ = _w0_powers(abs2_terms(pt[2]))
-        # |phi|^2 >= 0, so its zero-frequency part carries the mass; a
-        # nonzero unbounded piece always has one (mean of a square).
-        if not w0:
-            atinf = math.inf
-        else:
-            qmax = max(w0)
-            if qmax >= -1:
-                atinf = math.inf
-            elif qmax == -2:
-                atinf = float(np.real(w0[-2]))
+    at0 = atinf = 0.0
+    # |phi|^2 may underflow to no term at all; it then reads as a constant
+    if pieces and pieces[0][0] == 0.0:
+        k, c = end_power(abs2_terms(pieces[0][2]), "lo") or (0, 0.0)
+        if k <= -2:
+            at0 = math.inf if k < -2 else float(np.real(c))
+    if pieces and math.isinf(pieces[-1][1]):
+        k, c = end_power(abs2_terms(pieces[-1][2]), "hi") or (0, 0.0)
+        if k >= -2:
+            atinf = math.inf if k > -2 else float(np.real(c))
     return at0, atinf
 
 
@@ -255,38 +209,14 @@ def l1_norm(s: Symbol) -> float:
 # variation norm
 
 
-def _origin_lead_power(pieces) -> Optional[int]:
-    """Leading power of phi itself at 0+, None if support starts later."""
-    p0 = _origin_piece(pieces)
-    if p0 is None:
-        return None
-    w0, has_osc = _w0_powers(p0[2])
-    if not w0:
-        return 0 if has_osc else None
-    return min(w0) if not has_osc else min(min(w0), 0)
-
-
-def _tail_lead_power(pieces) -> Optional[int]:
-    """Leading power of phi at infinity, None if the support is compact."""
-    pt = _tail_piece(pieces)
-    if pt is None:
-        return None
-    w0, has_osc = _w0_powers(pt[2])
-    if has_osc:
-        return 0
-    if not w0:
-        return None
-    return max(w0)
-
-
 def _not_integrable(pieces) -> Optional[str]:
-    """Where phi fails to be integrable by its leading powers ("near the
+    """Where phi fails to be integrable by its end powers ("near the
     origin" or "at infinity"), None if it is integrable."""
-    k0 = _origin_lead_power(pieces)
-    if k0 is not None and k0 <= -1:
+    if pieces and pieces[0][0] == 0.0 and \
+            end_power(pieces[0][2], "lo")[0] <= -1:
         return "near the origin"
-    kt = _tail_lead_power(pieces)
-    if kt is not None and kt >= -1:
+    if pieces and math.isinf(pieces[-1][1]) and \
+            end_power(pieces[-1][2], "hi")[0] >= -1:
         return "at infinity"
     return None
 
@@ -351,11 +281,20 @@ def y_p_norm(s: Symbol, p: float) -> float:
 # pointwise structure: sign, monotonicity, slopes
 
 
+def _is_real_piece(terms, slack: float) -> bool:
+    """True if the terms sum to a real function: half the gap between the
+    coefficient at (p, w) and the conjugate of the one at (p, -w) is at
+    most slack (for w = 0, |Im c| <= slack)."""
+    coef = {(p, w): complex(c) for c, p, w in terms}
+    return all(abs(c - coef.get((p, -w), 0j).conjugate()) <= 2.0 * slack
+               for (p, w), c in coef.items())
+
+
 def is_nonnegative(s: Symbol, tol: float = 1e-12) -> bool:
     pieces = to_pieces(s)
     slack = tol * max(coef_scale(pieces), 1.0)
     for a, b, terms in pieces:
-        if any(abs(complex(c).imag) > slack for c, _, _ in terms):
+        if not _is_real_piece(terms, slack):
             return False
         mn, _ = _piece_value_range(terms, a, b)
         if mn < -slack:
@@ -368,7 +307,7 @@ def is_nonincreasing(s: Symbol, tol: float = 1e-12) -> bool:
     pieces = to_pieces(s)
     slack = tol * max(coef_scale(pieces), 1.0)
     for a, b, terms in pieces:
-        if any(abs(complex(c).imag) > slack for c, _, _ in terms):
+        if not _is_real_piece(terms, slack):
             return False
         d = derivative_terms(terms)
         if d:
@@ -527,11 +466,13 @@ def classify_schatten(s: Symbol, p: float) -> Verdict:
 
     p > 1: exact, via the tail-integral X_p norm.
     1/2 < p <= 1: exact for real nonincreasing nonnegative symbols via the
-    profile integral; otherwise in if the weighted variation norm is finite
-    (or, at p = 1 with compact support, if the modulus integral converges),
-    out if the X_p norm diverges, else unknown -- the gap is genuine.
+    profile integral; otherwise out if the operator is not compact, in if
+    the weighted variation norm is finite (or, at p = 1 with compact
+    support, if the modulus integral converges), out if the X_p norm
+    diverges, else unknown -- the gap is genuine.
     p <= 1/2: in for step symbols (finite rank), out for symbols with a
-    nonvanishing derivative on positive measure, else unknown.
+    nonvanishing derivative on positive measure or a non-compact operator,
+    else unknown.
     """
     if not (p > 0) or math.isinf(p):
         raise ValueError("p must be a positive finite exponent")
@@ -539,11 +480,17 @@ def classify_schatten(s: Symbol, p: float) -> Verdict:
         xp = _decisive("x_p", x_p_integral(s, p))
         return Verdict(IN if math.isfinite(xp) else OUT, "xp-norm",
                        {"x_p": xp, "form": "integral"})
+    # S_p holds only compact operators, whatever the numeric criteria say
+    not_compact = None
+    if tail_functional_limits(s) != (0.0, 0.0):
+        not_compact = Verdict(OUT, "xp-divergence", {"x_p": math.inf})
     if p > 0.5:
         if is_nonnegative(s) and is_nonincreasing(s):
             m = _decisive("profile", monotone_profile_norm(s, p))
             return Verdict(IN if math.isfinite(m) else OUT,
                            "monotone-profile", {"profile_integral": m})
+        if not_compact:
+            return not_compact
         try:
             yp = y_p_norm(s, p)
         except ValueError:
@@ -567,4 +514,4 @@ def classify_schatten(s: Symbol, p: float) -> Verdict:
         return Verdict(IN, "finite-rank-step", {"steps": n})
     if _has_nonzero_slope(s):
         return Verdict(OUT, "smooth-slope-exclusion", {})
-    return Verdict(UNKNOWN, "undecided-gap", {})
+    return not_compact or Verdict(UNKNOWN, "undecided-gap", {})

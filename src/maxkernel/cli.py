@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError, ArithmeticError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
     except MemoryError as e:

@@ -105,18 +105,13 @@ def fourier_coeffs(s: Symbol, M: int, period: float = None
 
 
 def _default_window(c: FourierCoefficients) -> int:
-    """4x the coefficient support, or the 99.99% energy radius."""
+    """4x the coefficient support."""
     v = np.abs(np.asarray(c.values)) ** 2
     M = c.order
     nz = np.flatnonzero(v > 0.0)
     if len(nz) == 0:
         return 1
-    supp = int(max(abs(nz.min() - M), abs(nz.max() - M)))
-    total = v.sum()
-    radii = np.arange(M + 1)
-    masses = np.array([v[M - r:M + r + 1].sum() for r in radii])
-    r99 = int(radii[np.argmax(masses >= 0.9999 * total)])
-    return max(1, min(4 * supp, max(supp, r99) * 4))
+    return max(1, 4 * int(max(abs(nz.min() - M), abs(nz.max() - M))))
 
 
 def hankel_window(c: FourierCoefficients, M: int = None) -> HankelWindow:

@@ -44,7 +44,8 @@ from scipy.special import polygamma
 
 from ._piecewise import (_laurent_roots, _piece_value_range, _real_w0_terms,
                          _right_value, coef_scale, cut_values,
-                         derivative_terms, eval_pieces, eval_terms, with_gaps)
+                         derivative_terms, end_power, eval_pieces, eval_terms,
+                         with_gaps)
 from .classify import canonical_step
 from .discretize import richardson
 from .symbols import Symbol, evaluate, is_real_symbol, support, to_pieces
@@ -563,13 +564,10 @@ def asymptotic_constant(s: Symbol) -> float:
         dt = derivative_terms(terms)
         if not dt:
             continue
-        w0 = _real_w0_terms(dt)
-        if w0 is not None:
-            q = min(p for _, p in w0)
-            if a == 0.0 and q <= -2:
-                raise ValueError("slope is not square-root integrable at 0")
-            if math.isinf(b) and max(p for _, p in w0) >= -2:
-                raise ValueError("slope is not square-root integrable at inf")
+        if a == 0.0 and end_power(dt, "lo")[0] <= -2:
+            raise ValueError("slope is not square-root integrable at 0")
+        if math.isinf(b) and end_power(dt, "hi")[0] >= -2:
+            raise ValueError("slope is not square-root integrable at inf")
         total += _root_slope_integral(dt, a, b)
     return (total / math.pi) ** 2
 

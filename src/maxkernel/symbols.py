@@ -96,6 +96,7 @@ class Step:
             raise ValueError("breakpoints and values must have equal length")
         if len(bp) == 0 or bp[0] <= 0 or any(a >= b for a, b in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing and positive")
+        object.__setattr__(self, "_pieces", tuple(_lower(self)))
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,7 @@ class PiecewisePoly:
             raise ValueError("breakpoints must be strictly increasing and positive")
         if any(p > -1 for _, p in self.tail):
             raise ValueError("tail powers must be <= -1 for an integrable tail")
+        object.__setattr__(self, "_pieces", tuple(_lower(self)))
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,7 @@ class TrigPoly:
             raise ValueError("period must be positive")
         if len(self.coeffs) % 2 != 1:
             raise ValueError("coeffs must have odd length 2M+1")
+        object.__setattr__(self, "_pieces", tuple(_lower(self)))
 
     @property
     def order(self) -> int:
@@ -178,6 +181,7 @@ class Sampled:
             raise ValueError("grid must be strictly increasing and positive")
         if self.interpolation not in ("pc", "pl"):
             raise ValueError("interpolation must be 'pc' or 'pl'")
+        object.__setattr__(self, "_pieces", tuple(_lower(self)))
 
 
 Symbol = Union[Step, PiecewisePoly, TrigPoly, Sampled]
@@ -187,8 +191,19 @@ Symbol = Union[Step, PiecewisePoly, TrigPoly, Sampled]
 # canonical lowering
 
 
-def to_pieces(s: Symbol) -> list[Piece]:
-    """Lower a symbol to exact (a, b, terms) pieces covering its support."""
+def to_pieces(s: Symbol) -> tuple[Piece, ...]:
+    """The exact (a, b, terms) pieces covering the support of s.
+
+    Each constructor lowers its symbol once and keeps the pieces in a
+    non-field attribute, so dataclass eq, hash and repr ignore them.
+    """
+    if not isinstance(s, (Step, PiecewisePoly, TrigPoly, Sampled)):
+        raise TypeError(f"not a symbol: {s!r}")
+    return s._pieces
+
+
+def _lower(s: Symbol) -> list[Piece]:
+    """The pieces of s, by kind; each constructor calls this once."""
     if isinstance(s, Step):
         prev = 0.0
         out: list[Piece] = []
@@ -220,9 +235,8 @@ def to_pieces(s: Symbol) -> list[Piece]:
         if s.periodic:
             return [(0.0, math.inf, terms)]
         return [(0.0, s.period, terms)]
-    if isinstance(s, Sampled):
-        return to_pieces(_sampled_to_poly(s))
-    raise TypeError(f"not a symbol: {s!r}")
+    # Sampled: a pl grid whose slopes overflow is refused here
+    return _sampled_to_poly(s)._pieces
 
 
 def _sampled_to_poly(s: Sampled) -> Union[Step, PiecewisePoly]:
@@ -377,7 +391,7 @@ def _shift_diff_sq(s: Symbol, a: float, b: float, sh: float) -> float:
                                     - eval_pieces(pieces, np.atleast_1d(u))[0]) ** 2,
                       a, hi, limit=400, epsabs=1e-13)
         return val
-    cuts = sorted({c for aa, bb, _ in pieces + shifted for c in (aa, bb)
+    cuts = sorted({c for aa, bb, _ in (*pieces, *shifted) for c in (aa, bb)
                    if math.isfinite(c) and a < c < hi} | {a, hi})
     total = 0.0
     for lo, up in zip(cuts[:-1], cuts[1:]):

@@ -105,6 +105,36 @@ def test_schatten_verdicts(affine, indicator, inv_tail, inv_square_tail):
     assert classify.classify_schatten(inv_square_tail, 1.0).definitely_in
 
 
+@pytest.mark.parametrize("s, p", [
+    (TrigPoly(1.0, [2.0], periodic=True), 0.4),
+    (PiecewisePoly([1.0], [[-1.0, 3.0]], lowest=[-1]), 1.0),
+    (PiecewisePoly([1.0, 2.0], [[1.0], [-1.0]], lowest=[-1, 0]), 1.0),
+], ids=["constant-periodic", "laurent-origin", "laurent-origin-two-pieces"])
+def test_non_compact_is_out_before_numeric_criteria(monkeypatch, s, p):
+    calls, dini = [], classify.dini_integral
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return dini(*args, **kw)
+
+    monkeypatch.setattr(classify, "dini_integral", counted)
+    assert classify.is_compact(s).definitely_out
+    v = classify.classify_schatten(s, p)
+    assert (v.verdict, v.criterion) == ("out", "xp-divergence")
+    assert v.norms == {"x_p": math.inf}
+    assert calls == []
+
+
+def test_real_trig_pieces():
+    lifted_sine = TrigPoly(1.0, [0.5j, 1.0, -0.5j])  # 1 + sin(2 pi x)
+    assert classify.is_nonnegative(lifted_sine)
+    assert not classify.is_nonincreasing(lifted_sine)
+    assert classify.is_nonincreasing(TrigPoly(1.0, [2.0]))
+    assert not classify.is_nonnegative(TrigPoly(1.0, [0.5j, 0.0, -0.5j]))
+    # 1 + i cos(2 pi x) is not real
+    assert not classify.is_nonnegative(TrigPoly(1.0, [0.5j, 1.0, 0.5j]))
+
+
 def test_schatten_rejects_bad_exponent(affine):
     for p in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +284,11 @@ def test_non_finite_symbol_exit(capsys):
     assert main(["classify", "--symbol", nan_step, "--p", "1",
                  "--format", "json"]) == 2
     assert "must be finite" in capsys.readouterr().err
+    # the pl slope (-2e308) / 1e-15 overflows when the symbol is built
+    steep = ('{"kind":"sampled","grid":[1,1.000000000000001],'
+             '"values":[1e308,-1e308]}')
+    assert main(["classify", "--symbol", steep, "--p", "1"]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_non_integer_power_exit(capsys):
@@ -315,6 +321,10 @@ def test_numeric_error_exit(capsys):
     assert "x_p norm is NaN" in capsys.readouterr().err
     assert main(["hankel", "--symbol", huge, "--format", "json"]) == 3
     assert "coverage is NaN" in capsys.readouterr().err
+    # T(x) ** 1.5 in the x_p integral raises OverflowError
+    far_step = '{"kind":"step","breakpoints":[1e308],"values":[-1]}'
+    assert main(["classify", "--symbol", far_step, "--p", "3"]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure:")
 
 
 def test_out_of_memory_exit(monkeypatch, capsys):
@@ -330,3 +340,37 @@ def test_exp_method_requires_N(capsys):
     assert main(["spectrum", "--symbol", AFFINE, "--method", "exp"]) == 2
     assert main(["spectrum", "--symbol", AFFINE, "--method", "exp",
                  "--N", "4", "--K", "6"]) == 0
+
+
+_EVERY_OUTPUT = {
+    "classify": ["classify", "--symbol", AFFINE, "--p", "2,0.75,0.4"],
+    "spectrum": ["spectrum", "--symbol", AFFINE, "--n", "64", "--K", "4"],
+    "spectrum-sturm": ["spectrum", "--symbol", AFFINE, "--method", "sturm",
+                       "--K", "4"],
+    "spectrum-compare": ["spectrum", "--symbol", AFFINE, "--compare",
+                         "--n", "64", "--K", "4"],
+    "sturm": ["sturm", "--symbol", AFFINE, "--K", "4"],
+    "hankel": ["hankel", "--symbol", AFFINE, "--K", "8"],
+    "expdemo": ["expdemo", "--N", "1,4", "--p", "1.0"],
+    "verify": ["verify", "--only", "kronecker"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("job", sorted(_EVERY_OUTPUT))
+def test_every_output_reruns_byte_identically(job, fmt, capsys):
+    argv = _EVERY_OUTPUT[job] + ["--format", fmt]
+    outs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        # a check's wall time is the one field that may differ
+        outs.append(re.sub(r'(?<=\[)[0-9.]+(?=s\])|(?<="elapsed": )[0-9.e-]+',
+                           "0", capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    if fmt == "json":
+        cfg = json.loads(outs[0])["config"]
+    else:
+        head = outs[0].splitlines()[0]
+        assert head.startswith("# config: ")
+        cfg = json.loads(head[len("# config: "):])
+    assert cfg["command"] == argv[0] and cfg["format"] == fmt

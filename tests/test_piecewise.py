@@ -9,9 +9,9 @@ from scipy.optimize import brentq
 
 from maxkernel import _piecewise
 from maxkernel._piecewise import (abs_integral, abs_integrals, coef_scale,
-                                  cut_values, eval_terms, integrate_terms,
-                                  integrate_terms_to_inf, variation,
-                                  with_gaps)
+                                  cut_values, end_power, eval_terms,
+                                  integrate_terms, integrate_terms_to_inf,
+                                  variation, with_gaps)
 from maxkernel.symbols import (PiecewisePoly, Sampled, Step, TrigPoly,
                                to_pieces, variation_tail)
 
@@ -39,6 +39,21 @@ def test_with_gaps_tiles_from_zero():
                                             (2.0, 3.0)]
     assert tiles[1][2] == () and coef_scale(tiles) == 4.0
     assert with_gaps([]) == [] and coef_scale([]) == 0.0
+
+
+def test_end_power():
+    laurent = ((3.0, -2, 0.0), (1.0, 0, 0.0), (2.0, 1, 0.0))
+    assert end_power(laurent, "lo") == (-2, 3.0)
+    assert end_power(laurent, "hi") == (1, 2.0)
+    # an oscillating term counts as power 0 with no coefficient of its own
+    mixed = ((1.0, -1, 0.0), (0.5, 0, 2.0), (0.5, 0, -2.0))
+    assert end_power(mixed, "lo") == (-1, 1.0)
+    assert end_power(mixed, "hi") == (0, 0.0)
+    assert end_power(mixed + ((4.0, 0, 0.0),), "hi") == (0, 4.0)
+    assert end_power((), "lo") is None
+    assert end_power(((0.0, 1, 0.0),), "hi") is None
+    with pytest.raises(ValueError, match="negative power"):
+        end_power(((1.0, -1, 2.0),), "lo")
 
 
 def test_integrate_terms_to_infinity():

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import airy
 
 from maxkernel import sturm
-from maxkernel.symbols import (Interval, PiecewisePoly, Step,
+from maxkernel.symbols import (Interval, PiecewisePoly, Step, TrigPoly,
                                subtract_terminal)
 
 
@@ -251,6 +251,15 @@ def test_asymptotic_constants(affine, square, tent):
 
 def test_asymptotic_constant_steps_vanish(two_step):
     assert sturm.asymptotic_constant(two_step) == 0.0
+
+
+def test_asymptotic_constant_periodic_slope_diverges(cosine):
+    # the slope of a periodized symbol never decays, so there is no
+    # quadrature to run
+    with pytest.raises(ValueError, match="at inf"):
+        sturm.asymptotic_constant(TrigPoly(1.0, [0.5, 0.0, 0.5],
+                                           periodic=True))
+    assert sturm.asymptotic_constant(cosine) > 0
 
 
 def test_sum_with_tail_exact_family(affine):

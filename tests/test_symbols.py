@@ -58,6 +58,17 @@ def test_pieces_are_disjoint_and_sorted(tent, inv_square_tail):
             assert a1 < b1 <= a2 < b2
 
 
+def test_symbols_lower_once(tent):
+    pieces = to_pieces(tent)
+    assert isinstance(pieces, tuple) and to_pieces(tent) is pieces
+    # the stored pieces are not a field: eq, hash and repr ignore them
+    twin = PiecewisePoly([0.5, 1.0], [[1.0], [2.0, -2.0]])
+    assert twin == tent and hash(twin) == hash(tent)
+    assert repr(twin) == repr(tent) and "_pieces" not in repr(tent)
+    with pytest.raises(TypeError):
+        to_pieces((0.0, 1.0))
+
+
 def test_variation_tail_affine(affine):
     # slope 1 over (x, 1], no terminal jump since phi(1-) = 0
     assert variation_tail(affine, 0.0) == pytest.approx(1.0)
@@ -150,6 +161,9 @@ NON_FINITE = {
     "trig-coeff": lambda: TrigPoly(1.0, [0.5, math.nan, 0.5]),
     "sampled-grid": lambda: Sampled((0.5, math.nan), (1.0, 2.0)),
     "sampled-value": lambda: Sampled((0.5, 1.0), (1.0, -math.inf), "pc"),
+    # the pl slope (-2e308) / 1e-15 overflows when the symbol is lowered
+    "sampled-slope": lambda: Sampled((1.0, 1.000000000000001),
+                                     (1e308, -1e308)),
 }
 
 
