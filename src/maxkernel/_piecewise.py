@@ -12,6 +12,7 @@ This module owns the piece conventions, so no caller re-implements them:
     ``eval_pieces`` evaluates, ``cut_values`` gives the left and right
     value at every cut, and ``with_gaps`` tiles (0, end] with the gaps
     filled by pieces that have no terms;
+  * ``aligned_cells`` is the one grid rule: nested equal cells per piece;
   * the last piece may run to b = inf: ``integrate_terms`` and
     ``abs_integral`` (the integral of |f|) take b = inf and raise
     ValueError on a divergent tail;
@@ -239,6 +240,21 @@ def with_gaps(pieces: Sequence[Piece]) -> list[Piece]:
     return out
 
 
+def aligned_cells(pieces: Sequence[Piece], lo: float, hi: float,
+                  first: int, level: int) -> list:
+    """(terms, nodes) per piece of with_gaps(pieces) on [lo, hi], with a
+    stretch past the last piece as a piece of no terms: max(1, round(first
+    len / (hi - lo))) << level equal cells, so the levels nest."""
+    out = []
+    # the empty piece at hi makes with_gaps fill the stretch up to hi
+    for a, b, terms in with_gaps([*pieces, (hi, hi, ())]):
+        x0, x1 = max(a, lo), min(b, hi)
+        if x0 < x1:
+            count = max(1, round(first * ((x1 - x0) / (hi - lo)))) << level
+            out.append((terms, np.linspace(x0, x1, count + 1)))
+    return out
+
+
 def coef_scale(pieces: Sequence[Piece]) -> float:
     """Largest coefficient modulus over all pieces, 0 with no pieces."""
     return max((abs(complex(c)) for _, _, t in pieces for c, _, _ in t),
@@ -266,6 +282,18 @@ def end_power(terms: Sequence[Term], end: str
     if k is None:
         return None
     return k, sum(c for c, p, w in terms if p == k and w == 0.0)
+
+
+def not_integrable(pieces: Sequence[Piece]) -> Optional[str]:
+    """Where phi fails to be integrable by its end powers ("near the
+    origin" or "at infinity"), None if it is integrable."""
+    if pieces and pieces[0][0] == 0.0 and \
+            end_power(pieces[0][2], "lo")[0] <= -1:
+        return "near the origin"
+    if pieces and math.isinf(pieces[-1][1]) and \
+            end_power(pieces[-1][2], "hi")[0] >= -1:
+        return "at infinity"
+    return None
 
 
 # ---------------------------------------------------------------------------

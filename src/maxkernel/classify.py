@@ -23,8 +23,8 @@ from scipy.integrate import quad
 
 from ._piecewise import (Term, _piece_value_range, abs2_terms, abs_integral,
                          coef_scale, cut_values, derivative_terms, end_power,
-                         eval_pieces, integrate_terms, mul_terms, variation,
-                         with_gaps)
+                         eval_pieces, integrate_terms, mul_terms,
+                         not_integrable, variation, with_gaps)
 from .symbols import Interval, Step, Symbol, modulus, support, to_pieces
 
 __all__ = [
@@ -68,21 +68,20 @@ def tail_functional_limits(s: Symbol) -> tuple[float, float]:
     """Limits of x * int_x^inf |phi|^2 at x -> 0 and x -> inf.
 
     Both limits exist for every representable symbol and are read off the
-    end powers of |phi|^2 (end_power): a leading x^-2 gives its
-    coefficient, a stronger one inf, a weaker one 0.  They decide
-    boundedness (finite) and compactness (zero).
+    end power (k, c) of phi (end_power), not of |phi|^2, whose terms can
+    underflow: k = -1 gives |c|^2, a stronger power inf, a weaker one 0.
+    They decide boundedness (finite) and compactness (zero).
     """
     pieces = to_pieces(s)
     at0 = atinf = 0.0
-    # |phi|^2 may underflow to no term at all; it then reads as a constant
     if pieces and pieces[0][0] == 0.0:
-        k, c = end_power(abs2_terms(pieces[0][2]), "lo") or (0, 0.0)
-        if k <= -2:
-            at0 = math.inf if k < -2 else float(np.real(c))
+        k, c = end_power(pieces[0][2], "lo") or (0, 0.0)
+        if k <= -1:
+            at0 = math.inf if k < -1 else abs(complex(c)) ** 2
     if pieces and math.isinf(pieces[-1][1]):
-        k, c = end_power(abs2_terms(pieces[-1][2]), "hi") or (0, 0.0)
-        if k >= -2:
-            atinf = math.inf if k > -2 else float(np.real(c))
+        k, c = end_power(pieces[-1][2], "hi") or (0, 0.0)
+        if k >= -1:
+            atinf = math.inf if k > -1 else abs(complex(c)) ** 2
     return at0, atinf
 
 
@@ -199,7 +198,7 @@ def l1_norm(s: Symbol) -> float:
     Raises when phi is not absolutely integrable.
     """
     pieces = to_pieces(s)
-    where = _not_integrable(pieces)
+    where = not_integrable(pieces)
     if where:
         raise ValueError(f"symbol is not integrable {where}")
     return sum(abs_integral(terms, a, b) for a, b, terms in pieces)
@@ -207,18 +206,6 @@ def l1_norm(s: Symbol) -> float:
 
 # ---------------------------------------------------------------------------
 # variation norm
-
-
-def _not_integrable(pieces) -> Optional[str]:
-    """Where phi fails to be integrable by its end powers ("near the
-    origin" or "at infinity"), None if it is integrable."""
-    if pieces and pieces[0][0] == 0.0 and \
-            end_power(pieces[0][2], "lo")[0] <= -1:
-        return "near the origin"
-    if pieces and math.isinf(pieces[-1][1]) and \
-            end_power(pieces[-1][2], "hi")[0] >= -1:
-        return "at infinity"
-    return None
 
 
 # bands per variation call in y_p_norm: the sum of a symbol whose slope
@@ -240,7 +227,7 @@ def y_p_norm(s: Symbol, p: float) -> float:
     pieces = to_pieces(s)
     if not pieces:
         return 0.0
-    if _not_integrable(pieces):
+    if not_integrable(pieces):
         return math.inf
 
     # the last finite cut: the end of a bounded support or the start of a
@@ -325,14 +312,6 @@ def is_positive_operator(s: Symbol) -> Verdict:
     return Verdict(IN if ok else OUT, "monotone-nonnegative", {})
 
 
-def _has_nonzero_slope(s: Symbol) -> bool:
-    """True if phi is piecewise-C1 with phi' != 0 on a set of positive measure."""
-    for _, _, terms in to_pieces(s):
-        if derivative_terms(terms):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # monotone-symbol profile integral
 
@@ -348,7 +327,7 @@ def monotone_profile_norm(s: Symbol, p: float) -> float:
     pieces = to_pieces(s)
     if not pieces:
         return 0.0
-    if _not_integrable(pieces):
+    if not_integrable(pieces):
         return math.inf
 
     def f(x: float) -> float:
@@ -427,7 +406,7 @@ def detect_step(s: Symbol) -> Optional[int]:
 def trace_value(s: Symbol) -> complex:
     """Exact int_0^inf phi(x) dx; raises when phi is not integrable."""
     pieces = to_pieces(s)
-    where = _not_integrable(pieces)
+    where = not_integrable(pieces)
     if where:
         raise ValueError(f"symbol is not integrable {where}")
     total = 0.0 + 0.0j
@@ -512,6 +491,7 @@ def classify_schatten(s: Symbol, p: float) -> Verdict:
     n = detect_step(s)
     if n is not None:
         return Verdict(IN, "finite-rank-step", {"steps": n})
-    if _has_nonzero_slope(s):
+    # phi' != 0 on a set of positive measure
+    if any(derivative_terms(terms) for _, _, terms in to_pieces(s)):
         return Verdict(OUT, "smooth-slope-exclusion", {})
     return not_compact or Verdict(UNKNOWN, "undecided-gap", {})

@@ -291,14 +291,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="galerkin",
                    choices=("galerkin", "sturm", "step_exact", "exp"))
     p.add_argument("--n", type=_positive_int, default=256,
-                   help="initial grid size for the dense method")
+                   help="first-level galerkin cells, shared by the pieces")
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--K", type=_positive_int, default=16,
                    help="values to resolve / track")
     p.add_argument("--N", type=_parse_ints, default=None,
                    help="oscillation frequency for --method exp")
     p.add_argument("--compare", action="store_true",
-                   help="side-by-side shooting vs dense spectrum")
+                   help="side-by-side shooting vs galerkin spectrum")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("sturm", help="shooting eigenvalue table")

@@ -6,23 +6,26 @@ entry reduces to one of two 1-D integrals per cell,
 
     m_i = int_{cell i} phi,        w_i = int_{cell i} (x - a_i) phi(x) dx,
 
-both computed exactly piece by piece.  Off-diagonal entries couple cells only
-through m: entry (i, j) of the lower factor is u_i v_j below the diagonal,
-with u = m / sqrt(h) and v = sqrt(h), and w_i / h_i on it.  The full matrix
-is lower + lower^T, order-1 semiseparable plus diagonal, and the triangular
-(masked) matrix is the lower factor itself.  A GalerkinMatrix holds these
-generators, applies itself to a vector with two cumulative sums, and builds
-the dense n x n array only when asked.
+both exact piece by piece: polynomial terms by Gauss-Legendre about the
+cell's left node, so narrow cells far from 0 lose nothing to cancellation.
+Off-diagonal entries couple cells only through m: entry (i, j) of the lower
+factor is u_i v_j below the diagonal, with u = m / sqrt(h) and v = sqrt(h),
+and w_i / h_i on it.  The full matrix is lower + lower^T, order-1
+semiseparable plus diagonal, and the triangular (masked) matrix is the lower
+factor itself.  A GalerkinMatrix holds these generators, applies itself to a
+vector with two cumulative sums, and builds the dense n x n array only when
+asked.
 
-Spectra come from three routes that cross-check each other: Galerkin
-spectra on refined grids (ARPACK Lanczos on the O(n) operator for the top K
-values, a dense symmetric eigensolve when every value is needed), exact
-finite-rank formulas for step symbols, and Richardson extrapolation in the
-grid size for the triangular part.  For a real symbol the dense eigensolve
-reads one lower triangle filled from the generators in O(n^2): the full
-matrix itself, or for the lower mask the Gram matrix L L^T, which is again
-order-1 semiseparable plus diagonal.  Only complex symbols (an SVD) and the
-tests read the dense entries.
+spectrum() doubles the grid of _piecewise.aligned_cells, whose nodes hold
+every breakpoint, and solves each level by Lanczos for the top K values.  A
+step symbol's range lies in the span of the indicators of (0, x_i], so its
+Galerkin matrix on the breakpoint grid is the operator itself
+(step_exact_spectrum).  triangular_limit extrapolates the triangular part in
+the grid size.  For a real symbol the dense eigensolve reads one lower
+triangle filled from the generators in O(n^2): the full matrix itself, or
+for the lower mask the Gram matrix L L^T, which is again order-1
+semiseparable plus diagonal.  Only complex symbols (an SVD) and the tests
+read the dense entries.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh, svdvals
+from scipy.linalg import eigvalsh, svdvals
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from ._piecewise import (derivative_terms, eval_terms, integrate_terms_nodes,
-                         mul_terms)
+from ._piecewise import (aligned_cells, derivative_terms, eval_terms,
+                         integrate_terms_nodes, mul_terms)
 from .classify import canonical_step, is_nonincreasing, is_nonnegative, \
     l1_norm, tail_functional
 from .symbols import Interval, Symbol, is_real_symbol, support, to_pieces
@@ -49,7 +52,7 @@ __all__ = [
     "truncation_point",
 ]
 
-MAX_DENSE = 4096  # dense solves (every singular value) above this are refused
+MAX_DENSE = 4096  # dense solves above this are refused, steps' included
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,6 @@ class SpectrumEstimate:
     method: str
     n: int
     interval: Interval
-    mask: str = "full"
     eigs: Optional[np.ndarray] = None
     refinement_history: tuple = ()
     meta: dict = field(default_factory=dict)
@@ -157,50 +159,59 @@ class TriangularLimit:
     fit_slope: float
 
 
-def _split_at_nodes(s: Symbol, nodes: np.ndarray):
-    """Each piece of s on [nodes[0], nodes[-1]], split at the grid nodes:
-    yields (terms, pts, idx), where (pts[k], pts[k+1]) lies in cell idx[k]."""
+def _cell_moments(s: Symbol, nodes: np.ndarray, moments):
+    """(m_i, w_i) per cell: the sums of moments(terms, pts, base) over the
+    pieces of s split at the grid nodes, (pts[k], pts[k+1]) lying in the
+    cell whose left node is base[k]."""
+    m, w = np.zeros((2, len(nodes) - 1), dtype=complex)
     for a, b, terms in to_pieces(s):
         lo, hi = max(a, nodes[0]), min(b, nodes[-1])
         if hi <= lo:
             continue
-        inner = nodes[(nodes > lo) & (nodes < hi)]
-        pts = np.concatenate([[lo], inner, [hi]])
+        pts = np.concatenate([[lo], nodes[(nodes > lo) & (nodes < hi)], [hi]])
         # by left ends: a midpoint can overflow to inf near the float limit
-        yield terms, pts, np.searchsorted(nodes, pts[:-1], side="right") - 1
-
-
-def _cell_integrals(s: Symbol, nodes: np.ndarray):
-    """Exact (m_i, w_i) per cell; pieces are split at the grid nodes."""
-    n = len(nodes) - 1
-    m = np.zeros(n, dtype=complex)
-    w = np.zeros(n, dtype=complex)
-    x_terms = ((1.0, 1, 0.0),)
-    for terms, pts, idx in _split_at_nodes(s, nodes):
-        mm = integrate_terms_nodes(terms, pts)
-        xm = integrate_terms_nodes(mul_terms(terms, x_terms), pts)
+        idx = np.searchsorted(nodes, pts[:-1], side="right") - 1
+        mm, wm = moments(terms, pts, nodes[idx])
         np.add.at(m, idx, mm)
-        np.add.at(w, idx, xm - nodes[idx] * mm)
+        np.add.at(w, idx, wm)
     return m, w
 
 
-def _grid(interval: Interval, n: int, grid) -> np.ndarray:
-    if not isinstance(grid, str):
-        nodes = np.asarray(grid, dtype=float)
-        if len(nodes) < 2 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("explicit nodes must be strictly increasing")
-        return nodes
-    lo, hi = interval.lo, interval.hi
+def _gauss_moments(f, pts: np.ndarray, base: np.ndarray, q: int):
+    """int f and int (x - base_k) f over each [pts_k, pts_(k+1)] by q-point
+    Gauss-Legendre, x - base_k taken from pts_k - base_k, which is exact
+    when base_k is pts_k: no antiderivative far from 0 cancels."""
+    gx, gw = np.polynomial.legendre.leggauss(q)
+    half = 0.5 * np.diff(pts)
+    off = half[:, None] * (1.0 + gx)
+    vals = f(pts[:-1, None] + off)
+    t = (pts[:-1] - base)[:, None] + off
+    return half * (vals @ gw), half * ((t * vals) @ gw)
+
+
+def _exact_moments(terms, pts: np.ndarray, base: np.ndarray):
+    """Exact moments of one piece: polynomial terms by Gauss-Legendre with
+    enough points for x phi, Laurent and oscillating ones by differences
+    of antiderivatives."""
+    poly = tuple(t for t in terms if t[1] >= 0 and t[2] == 0.0)
+    rest = tuple(t for t in terms if t[1] < 0 or t[2] != 0.0)
+    deg = max((p for _, p, _ in poly), default=0)
+    m, w = _gauss_moments(lambda x: eval_terms(poly, x), pts, base,
+                          (deg + 1) // 2 + 1)
+    if rest:
+        mm = integrate_terms_nodes(rest, pts)
+        xm = integrate_terms_nodes(mul_terms(rest, ((1.0, 1, 0.0),)), pts)
+        m, w = m + mm, w + xm - base * mm
+    return m, w
+
+
+def _bounded(interval) -> Interval:
+    if not isinstance(interval, Interval):
+        interval = Interval(*interval)
     if not interval.bounded:
         raise ValueError("discretization needs a bounded interval; "
                          "truncate first (see truncation_point)")
-    if grid == "uniform":
-        return np.linspace(lo, hi, n + 1)
-    if grid == "geometric":
-        if lo <= 0:
-            raise ValueError("geometric grid needs interval.lo > 0")
-        return lo * (hi / lo) ** (np.arange(n + 1) / n)
-    raise ValueError(f"unknown grid {grid!r}")
+    return interval
 
 
 def galerkin_matrix(s: Symbol, interval=None, n: int = 256,
@@ -211,27 +222,29 @@ def galerkin_matrix(s: Symbol, interval=None, n: int = 256,
     the y <= x half, i.e. the Volterra-type operator phi(x) int_0^x f.
     The full matrix is exactly lower + lower^T, bit for bit.
 
-    grid is "uniform", "geometric", or an explicit strictly increasing node
-    array (n and interval are then taken from the array itself).
+    grid is "uniform" (n cells on interval, by default [0, end of the
+    support]) or an explicit strictly increasing node array, which then
+    sets n and interval.
     """
     if mask not in ("full", "lower"):
         raise ValueError(f"unknown mask {mask!r}")
-    if interval is None:
-        sup = support(s)
-        interval = Interval(0.0, sup.hi)
-    elif not isinstance(interval, Interval):
-        interval = Interval(*interval)
-    nodes = _grid(interval, n, grid)
-    if not isinstance(grid, str):
-        interval = Interval(float(nodes[0]), float(nodes[-1]))
-        n = len(nodes) - 1
-    m, w = _cell_integrals(s, nodes)
+    if isinstance(grid, str):
+        if grid != "uniform":
+            raise ValueError(f"unknown grid {grid!r}")
+        interval = _bounded(Interval(0.0, support(s).hi) if interval is None
+                            else interval)
+        grid = np.linspace(interval.lo, interval.hi, n + 1)
+    nodes = np.asarray(grid, dtype=float)
+    if len(nodes) < 2 or np.any(np.diff(nodes) <= 0):
+        raise ValueError("explicit nodes must be strictly increasing")
+    m, w = _cell_moments(s, nodes, _exact_moments)
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(w))):
         raise ValueError("non-finite cell integral: the symbol overflows "
                          "or is not integrable on the grid")
     if is_real_symbol(s):
         m, w = m.real, w.real
-    return GalerkinMatrix(interval, n, nodes, m, w, mask)
+    return GalerkinMatrix(Interval(float(nodes[0]), float(nodes[-1])),
+                          len(nodes) - 1, nodes, m, w, mask)
 
 
 def _uses_lanczos(gm: GalerkinMatrix, k: Optional[int]) -> bool:
@@ -342,20 +355,19 @@ def _graded_nodes(s: Symbol, X: float, n: int) -> np.ndarray:
 
 
 def spectrum(s: Symbol, interval=None, n0: int = 256, tol: float = 1e-6,
-             mask: str = "full", grid: str = "uniform",
              K: int = 16, max_doublings: int = 6) -> SpectrumEstimate:
     """Grid-doubling Galerkin spectrum, stopping when the first K singular
     values have settled to tol relative to s_0.
 
-    Each level solves for the top K values only (singular_values(gm, K)),
-    so the estimate holds those K values, not all n; method names the route
-    of the last level, "galerkin-lanczos" or "galerkin-dense" (grids with
-    n <= K + 1).  Raises RuntimeError("no-convergence") when the doubling
-    budget runs out first.
+    Level l has the nodes of aligned_cells(pieces, lo, hi, n0, l), so
+    every breakpoint is a node, and solves for the top K values only
+    (singular_values(gm, K)); method names the route of the last level,
+    "galerkin-lanczos" or "galerkin-dense" (grids with n <= K + 1).  Raises
+    RuntimeError("no-convergence") when the doubling budget runs out first.
 
     Unbounded supports are truncated where the tail functional falls below
-    (0.1 tol)^2, and the cells are then graded (geometric toward the cut)
-    so the truncation interval does not starve resolution near the origin.
+    (0.1 tol)^2; past a cut at 4 the cells are graded (geometric toward the
+    cut) so the truncation does not starve resolution near the origin.
     """
     meta = {}
     graded = False
@@ -367,17 +379,22 @@ def spectrum(s: Symbol, interval=None, n0: int = 256, tol: float = 1e-6,
             X = truncation_point(s, eps=0.1 * tol)
             interval = Interval(0.0, X)
             meta["truncated_at"] = X
-            graded = grid == "uniform" and X > 4.0
-    elif not isinstance(interval, Interval):
-        interval = Interval(*interval)
+            graded = X > 4.0
+    else:
+        interval = _bounded(interval)
     history = []
     prev = None
     for level in range(max_doublings + 1):
-        n = n0 * 2 ** level
-        use_grid = _graded_nodes(s, interval.hi, n) if graded else grid
-        gm = galerkin_matrix(s, interval, n, grid=use_grid, mask=mask)
+        if graded:
+            nodes = _graded_nodes(s, interval.hi, n0 * 2 ** level)
+        else:
+            cells = aligned_cells(to_pieces(s), interval.lo, interval.hi,
+                                  n0, level)
+            nodes = np.concatenate([x[:-1] for _, x in cells]
+                                   + [[interval.hi]])
+        gm = galerkin_matrix(s, grid=nodes)
         svals, eigs = singular_values(gm, K)
-        history.append((n, svals))
+        history.append((gm.n, svals))
         if prev is not None:
             k = min(len(prev), len(svals))
             scale = max(float(svals[0]), 1e-300)
@@ -385,39 +402,26 @@ def spectrum(s: Symbol, interval=None, n0: int = 256, tol: float = 1e-6,
                 method = ("galerkin-lanczos" if _uses_lanczos(gm, K)
                           else "galerkin-dense")
                 return SpectrumEstimate(
-                    svals, method, n, interval, mask=mask, eigs=eigs,
+                    svals, method, gm.n, interval, eigs=eigs,
                     refinement_history=tuple(history), meta=meta)
         prev = svals
     raise RuntimeError(
-        f"no-convergence: tracked singular values still moving at n = {n}")
+        f"no-convergence: tracked singular values still moving at n = {gm.n}")
 
 
 def step_exact_spectrum(s: Symbol) -> SpectrumEstimate:
-    """Exact singular values for a step symbol.
+    """Exact singular values of a step symbol, and eigenvalues when real.
 
-    With canonical pieces v_i on (x_{i-1}, x_i] and jumps c_i = v_i - v_{i+1}
-    (v_{N+1} = 0), the operator is sum_i c_i u_i (x) u_i with u_i the
-    indicator of (0, x_i].  Its nonzero singular values are those of
-    G^{1/2} C G^{1/2} where G_ij = min(x_i, x_j), which is what we solve.
-    """
+    With canonical breakpoints x_1 < ... < x_N the operator is
+    sum_i c_i u_i (x) u_i, c_i the jumps and u_i the indicator of (0, x_i],
+    so its Galerkin matrix on [0, x_1, ..., x_N] is the operator itself: a
+    dense solve, capped at MAX_DENSE."""
     st = canonical_step(s)
     if st is None:
         raise ValueError("symbol is not a step function")
-    x = np.asarray(st.breakpoints)
-    v = np.asarray(st.values)
-    c = v - np.concatenate([v[1:], [0.0]])
-    G = np.minimum(x[:, None], x[None, :])
-    lam, U = eigh(G)
-    root = (U * np.sqrt(np.maximum(lam, 0.0))) @ U.T
-    interval = Interval(0.0, float(x[-1]))
-    if np.allclose(c.imag, 0.0):
-        core = root @ np.diag(c.real) @ root
-        eigs = eigvalsh(core)
-        order = np.argsort(-np.abs(eigs))
-        return SpectrumEstimate(np.abs(eigs)[order], "step_exact", len(x),
-                                interval, eigs=eigs[order])
-    core = root.astype(complex) @ np.diag(c) @ root
-    return SpectrumEstimate(svdvals(core), "step_exact", len(x), interval)
+    gm = galerkin_matrix(st, grid=[0.0, *st.breakpoints])
+    svals, eigs = singular_values(gm)
+    return SpectrumEstimate(svals, "step_exact", gm.n, gm.interval, eigs=eigs)
 
 
 def schatten(est: SpectrumEstimate, p: float) -> SchattenReport:
@@ -476,10 +480,6 @@ def triangular_limit(s: Symbol, interval=None,
     if len(levels) != 3 or sorted(levels) != list(levels) \
             or levels[1] != 2 * levels[0] or levels[2] != 2 * levels[1]:
         raise ValueError("levels must be three successive doublings")
-    if interval is None:
-        interval = Interval(0.0, support(s).hi)
-    elif not isinstance(interval, Interval):
-        interval = Interval(*interval)
     lo_n, hi_n = window
     if hi_n * 2 > levels[0]:
         raise ValueError("window extends past half the coarsest grid")
@@ -499,28 +499,12 @@ def triangular_limit(s: Symbol, interval=None,
                            best[lo_n: hi_n + 1], float(b))
 
 
-def _sqrt_slope_cell_integrals(s: Symbol, nodes: np.ndarray):
-    """(m_i, w_i) for psi = sqrt(max(-phi', 0)) by 24-point Gauss-Legendre
-    on every cell-piece intersection."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(24)
-    n = len(nodes) - 1
-    m = np.zeros(n)
-    w = np.zeros(n)
-    for terms, pts, idx in _split_at_nodes(s, nodes):
-        dt = derivative_terms(terms)
-        mid = 0.5 * (pts[:-1] + pts[1:])
-        half = 0.5 * np.diff(pts)
-        xs = mid[:, None] + half[:, None] * gl_x[None, :]
-        if dt:
-            vals = eval_terms(dt, xs.ravel()).reshape(xs.shape)
-            psi = np.sqrt(np.maximum(-vals.real, 0.0))
-        else:
-            psi = np.zeros_like(xs)
-        mm = half * (psi @ gl_w)
-        xm = half * ((xs * psi) @ gl_w)
-        np.add.at(m, idx, mm)
-        np.add.at(w, idx, xm - nodes[idx] * mm)
-    return m, w
+def _sqrt_slope_moments(terms, pts: np.ndarray, base: np.ndarray):
+    """Moments of psi = sqrt(max(-phi', 0)) by 24-point Gauss-Legendre."""
+    dt = derivative_terms(terms)
+    return _gauss_moments(
+        lambda x: np.sqrt(np.maximum(-eval_terms(dt, x).real, 0.0)), pts,
+        base, 24)
 
 
 def factor_residual(s: Symbol, n: int = 2048, interval=None) -> float:
@@ -536,16 +520,11 @@ def factor_residual(s: Symbol, n: int = 2048, interval=None) -> float:
         raise ValueError("factorization needs a real symbol")
     if not is_nonnegative(s) or not is_nonincreasing(s):
         raise ValueError("factorization needs a nonincreasing nonnegative symbol")
-    sup = support(s)
-    if not sup.bounded:
+    if not support(s).bounded:
         raise ValueError("bounded support required")
-    if interval is None:
-        interval = Interval(0.0, sup.hi)
-    elif not isinstance(interval, Interval):
-        interval = Interval(*interval)
     M = galerkin_matrix(s, interval, n, mask="full")
-    V = GalerkinMatrix(M.interval, M.n, M.nodes,
-                       *_sqrt_slope_cell_integrals(s, M.nodes), "lower")
+    m, w = _cell_moments(s, M.nodes, _sqrt_slope_moments)
+    V = GalerkinMatrix(M.interval, M.n, M.nodes, m.real, w.real, "lower")
     den = float(singular_values(M, 1)[0][0])
     if den == 0.0:
         return 0.0

@@ -29,7 +29,7 @@ from scipy.integrate import quad
 from scipy.linalg import svdvals
 from scipy.special import zeta
 
-from ._piecewise import add_freq, integrate_terms
+from ._piecewise import add_freq, integrate_terms, not_integrable
 from .discretize import SpectrumEstimate
 from .symbols import Interval, Symbol, TrigPoly, support, to_pieces
 
@@ -74,7 +74,7 @@ def fourier_coeffs(s: Symbol, M: int, period: float = None
 
     Closed form piece by piece; a TrigPoly at its own period passes through
     exactly.  The integration window is one period [0, b] regardless of how
-    far the support extends.
+    far the support extends.  phi not integrable at 0 raises ValueError.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
@@ -89,6 +89,8 @@ def fourier_coeffs(s: Symbol, M: int, period: float = None
         for n in range(-min(M, Ms), min(M, Ms) + 1):
             out[n + M] = s.coeffs[n + Ms]
         return FourierCoefficients(b, out)
+    if not_integrable(to_pieces(s)) == "near the origin":
+        raise ValueError("phi is not integrable near the origin")
     pieces = [(a, min(bb, b), t) for a, bb, t in to_pieces(s) if a < b]
     out = np.zeros(2 * M + 1, dtype=complex)
     base = -2.0 * math.pi / b

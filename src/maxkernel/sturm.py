@@ -43,7 +43,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.special import polygamma
 
 from ._piecewise import (_laurent_roots, _piece_value_range, _real_w0_terms,
-                         _right_value, coef_scale, cut_values,
+                         _right_value, aligned_cells, coef_scale, cut_values,
                          derivative_terms, end_power, eval_pieces, eval_terms,
                          with_gaps)
 from .classify import canonical_step
@@ -119,21 +119,18 @@ class _Problem:
     def cells(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Widths h and slopes c = -phi' >= 0 of the cells on which phi is
         linear or interpolated linearly.  A piecewise-linear phi has its
-        segments as cells at every level.  Otherwise each piece gets
-        max(1, round(256 len / b)) equal cells, times 2**level, so the
-        levels nest; c is the secant slope (phi_k - phi_(k+1)) / h_k, and
-        each piece is evaluated from its own terms, which at x = 0 gives
-        the right limit."""
+        segments as cells at every level.  Otherwise the cells are
+        aligned_cells(pieces, 0, b, 256, level); c is the secant slope
+        (phi_k - phi_(k+1)) / h_k, and each piece is evaluated from its own
+        terms, which at x = 0 gives the right limit."""
         if self.closed_form:
             h = np.array([x1 - x0 for x0, x1, _ in self.pieces])
             return h, np.maximum(np.array(self.slopes), 0.0)
         hs, cs = [], []
-        for x0, x1, terms in self.pieces:
-            count = max(1, round(_FIRST_CELLS * (x1 - x0) / self.b)) \
-                << level
-            nodes = np.linspace(x0, x1, count + 1)
+        for terms, nodes in aligned_cells(self.pieces, 0.0, self.b,
+                                          _FIRST_CELLS, level):
             phi = np.real(eval_terms(terms, nodes)) if terms \
-                else np.zeros(count + 1)
+                else np.zeros(len(nodes))
             h = np.diff(nodes)
             hs.append(h)
             cs.append(np.maximum((phi[:-1] - phi[1:]) / h, 0.0))

@@ -465,8 +465,7 @@ def subtract_terminal(s: Symbol, interval: Interval) -> tuple[Symbol, complex]:
         coeffs[M] = coeffs[M] - c
         return TrigPoly(s.period, coeffs, False), c
     if isinstance(s, Sampled):
-        shifted, cc = subtract_terminal(_sampled_to_poly(s), interval)
-        return shifted, cc
+        return subtract_terminal(_sampled_to_poly(s), interval)
     raise ValueError("cannot subtract terminal value for this symbol shape")
 
 

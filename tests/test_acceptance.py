@@ -62,7 +62,10 @@ def test_12_cross_representation():
     _run(acceptance.check_cross_representation)
 
 
-def test_runner_covers_every_family():
+def test_runner_covers_every_family(monkeypatch):
+    # only the registration is under test: the bodies become stubs
+    for check in acceptance.CHECKS.values():
+        monkeypatch.setattr(check, "__wrapped__", lambda tol: (True, "stub"))
     assert len(acceptance.CHECKS) == 12
     assert len(set(acceptance.FAMILIES)) == 12
     results = acceptance.run_checks(only="kronecker")

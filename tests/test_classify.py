@@ -125,6 +125,21 @@ def test_non_compact_is_out_before_numeric_criteria(monkeypatch, s, p):
     assert calls == []
 
 
+def test_tail_limits_from_phi_end_power():
+    # |phi|^2 = 1e-400 x^-4 underflows to no term; phi's own power decides
+    tiny = PiecewisePoly([1.0], [()], tail=[(1e-200, -2)])
+    assert classify.tail_functional_limits(tiny) == (0.0, 0.0)
+    assert classify.is_bounded(tiny).definitely_in
+    assert classify.classify_schatten(tiny, 2.0).definitely_in
+    # x^-1 ends give |c|^2
+    assert classify.tail_functional_limits(
+        PiecewisePoly([1.0], [()], tail=[(3.0, -1)])) == (0.0, 9.0)
+    assert classify.tail_functional_limits(
+        PiecewisePoly([1.0], [[2.0, 1.0]], lowest=[-1])) == (4.0, 0.0)
+    assert classify.tail_functional_limits(
+        PiecewisePoly([1.0], [[1.0]], lowest=[-2])) == (math.inf, 0.0)
+
+
 def test_real_trig_pieces():
     lifted_sine = TrigPoly(1.0, [0.5j, 1.0, -0.5j])  # 1 + sin(2 pi x)
     assert classify.is_nonnegative(lifted_sine)

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from maxkernel import _piecewise, classify, sturm
+from maxkernel import _piecewise, classify, discretize, matrixrep, sturm
 from maxkernel.cli import main
-from maxkernel.symbols import TrigPoly, symbol_to_json
+from maxkernel.symbols import Step, TrigPoly, symbol_to_json
 
 AFFINE = '{"kind":"ppoly","breakpoints":[1.0],"pieces":[[1.0,-1.0]]}'
 TWO_STEP = '{"kind":"step","breakpoints":[1.0,2.0],"values":[2.0,1.0]}'
 INV_TAIL = '{"kind":"ppoly","breakpoints":[1.0],"pieces":[[]],"tail":[[1.0,-1]]}'
+# breakpoint 1/3 is a node of no uniform grid
+OFF_GRID_STEP = ('{"kind":"step","breakpoints":[0.3333333333333333,1],'
+                 '"values":[2,1]}')
 
 
 def test_classify_csv(capsys):
@@ -43,6 +46,31 @@ def test_spectrum_step_exact(capsys):
     rows = capsys.readouterr().out.splitlines()[2:]
     top = float(rows[0].split(",")[1])
     assert top == pytest.approx(2.618033988749895, rel=1e-12)
+
+
+def test_off_grid_step_converges(capsys):
+    assert main(["spectrum", "--symbol", OFF_GRID_STEP, "--method",
+                 "galerkin", "--K", "2", "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)["results"]["svals"]
+    exact = discretize.step_exact_spectrum(
+        Step([0.3333333333333333, 1.0], [2.0, 1.0])).svals
+    assert max(abs(g - e) for g, e in zip(got, exact)) <= 1e-12 * exact[0]
+
+
+def test_hankel_refuses_origin_divergence_at_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(_piecewise, "quad", counted)
+    monkeypatch.setattr(matrixrep, "quad", counted)
+    laurent = ('{"kind":"ppoly","breakpoints":[1.0],"pieces":[[-1.0,3.0]],'
+               '"lowest":[-1]}')
+    assert main(["hankel", "--symbol", laurent, "--K", "32"]) == 3
+    assert "not integrable near the origin" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_spectrum_compare(capsys):
@@ -349,6 +377,10 @@ _EVERY_OUTPUT = {
                        "--K", "4"],
     "spectrum-compare": ["spectrum", "--symbol", AFFINE, "--compare",
                          "--n", "64", "--K", "4"],
+    "spectrum-step-exact": ["spectrum", "--symbol", TWO_STEP, "--method",
+                            "step_exact"],
+    "spectrum-off-grid-step": ["spectrum", "--symbol", OFF_GRID_STEP,
+                               "--K", "2"],
     "sturm": ["sturm", "--symbol", AFFINE, "--K", "4"],
     "hankel": ["hankel", "--symbol", AFFINE, "--K", "8"],
     "expdemo": ["expdemo", "--N", "1,4", "--p", "1.0"],

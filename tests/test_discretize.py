@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.linalg import eigvalsh, svdvals
 
-from maxkernel import discretize
-from maxkernel.symbols import Interval, PiecewisePoly, Step, TrigPoly
+from maxkernel import acceptance, discretize
+from maxkernel.symbols import (Interval, PiecewisePoly, Step, TrigPoly,
+                               evaluate)
 
 from conftest import random_step
 
@@ -176,6 +178,14 @@ def test_dense_cap(affine):
     assert len(sv) == 4
 
 
+def test_spectrum_off_grid_step_converges():
+    s = Step([0.3333333333333333, 1.0], [2.0, 1.0])
+    est = discretize.spectrum(s, K=2)
+    exact = discretize.step_exact_spectrum(s).svals
+    assert len(est.refinement_history) == 2
+    assert np.max(np.abs(est.svals - exact)) <= 1e-12 * exact[0]
+
+
 def test_conforming_grid_is_exact_for_steps():
     s = Step([0.3, 1.1, 2.0], [3.0, 2.0, 0.5])
     exact = discretize.step_exact_spectrum(s).svals
@@ -184,6 +194,58 @@ def test_conforming_grid_is_exact_for_steps():
     gm = discretize.galerkin_matrix(s, grid=nodes)
     sv, _ = discretize.singular_values(gm)
     assert np.max(np.abs(sv[:3] / exact - 1.0)) < 1e-12
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_step_exact_matches_gram_oracle(seed):
+    # up to 100 breakpoints, cells from 1e-6 to 1: narrow cells far from 0
+    # cost digits when cell moments are differences of antiderivatives
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 101))
+    cuts = np.cumsum(10.0 ** rng.uniform(-6.0, 0.0, size=n))
+    vals = rng.uniform(0.1, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    s = Step(cuts, vals)
+    got = discretize.step_exact_spectrum(s)
+    want = acceptance._step_gram_svals(s)
+    assert got.method == "step_exact" and got.n == n
+    assert np.max(np.abs(got.svals - want)) <= 1e-12 * want[0]
+    assert np.sum(got.eigs) == pytest.approx(np.dot(vals, np.diff(
+        np.concatenate([[0.0], cuts]))), rel=1e-12)
+
+
+def test_step_exact_is_capped():
+    n = discretize.MAX_DENSE + 1  # alternating values: no two merge
+    s = Step(np.arange(1.0, n + 1), np.resize([1.0, 2.0], n))
+    with pytest.raises(ValueError, match="capped"):
+        discretize.step_exact_spectrum(s)
+
+
+# breakpoints 0.37, 1.0 and 1.1 split cells; the narrow cell far from 0
+# lies on a polynomial piece, where the moments are taken from its node
+_SPLIT_NODES = np.array([0.0, 0.2, 0.5, 0.7, 0.700001, 0.9, 1.05, 1.3, 1.6])
+
+
+@pytest.mark.parametrize("s, nodes", [
+    (PiecewisePoly([0.37, 1.0], [[1.0, 2.0, -3.0], [0.5, -0.5, 0.25, 0.1]],
+                   tail=[(2.0, -2), (-1.0, -3)]), _SPLIT_NODES),
+    (TrigPoly(1.1, [0.2, 0.5, 1.0, 0.5, 0.2]), np.delete(_SPLIT_NODES, 4)),
+], ids=["ppoly-laurent-tail", "trig"])
+def test_cell_moments_match_quad(s, nodes):
+    gm = discretize.galerkin_matrix(s, grid=nodes)
+
+    def phi(x):
+        return float(np.real(evaluate(s, x)))
+
+    for i, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
+        # in t = x - a, so the weight t carries no rounding of x
+        pts = [c - a for c in (0.37, 1.0, 1.1) if a < c < b] or None
+        m = quad(lambda t: phi(a + t), 0.0, b - a, points=pts, epsabs=0,
+                 epsrel=1e-13)[0]
+        w = quad(lambda t: t * phi(a + t), 0.0, b - a, points=pts,
+                 epsabs=0, epsrel=1e-13)[0]
+        assert gm.m[i] == pytest.approx(m, rel=1e-12, abs=0.0)
+        assert gm.w[i] == pytest.approx(w, rel=1e-12, abs=0.0)
 
 
 def _random_symbol(rng, kind):
@@ -205,8 +267,8 @@ def _random_matrix(seed, kind, mask, grid, n):
     s = _random_symbol(rng, kind)
     hi = discretize.support(s).hi
     if grid == "geometric":
-        return discretize.galerkin_matrix(s, (0.05 * hi, hi), n, grid=grid,
-                                          mask=mask)
+        return discretize.galerkin_matrix(
+            s, grid=np.geomspace(0.05 * hi, hi, n + 1), mask=mask)
     if grid == "explicit":
         nodes = np.sort(rng.uniform(0.0, hi, size=n + 1))
         return discretize.galerkin_matrix(s, grid=nodes, mask=mask)

@@ -8,7 +8,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from maxkernel import _piecewise
-from maxkernel._piecewise import (abs_integral, abs_integrals, coef_scale,
+from maxkernel._piecewise import (abs_integral, abs_integrals, aligned_cells,
+                                  coef_scale,
                                   cut_values, end_power, eval_terms,
                                   integrate_terms, integrate_terms_to_inf,
                                   variation, with_gaps)
@@ -39,6 +40,26 @@ def test_with_gaps_tiles_from_zero():
                                             (2.0, 3.0)]
     assert tiles[1][2] == () and coef_scale(tiles) == 4.0
     assert with_gaps([]) == [] and coef_scale([]) == 0.0
+
+
+def test_aligned_levels_nest():
+    # a gap (0, 0.3], pieces up to 1.7, then a stretch with no terms to 2.5
+    pieces = to_pieces(Step([0.3, 1.0 / 3.0, 1.7], [0.0, 1.0, 2.0]))
+    for lo, counts in ((0.0, [2, 1, 9, 5]), (0.31, [1, 10, 6])):
+        levels = [aligned_cells(pieces, lo, 2.5, 16, level)
+                  for level in range(4)]
+        # round(16 len / (2.5 - lo)), at least 1, per piece
+        assert [len(x) - 1 for _, x in levels[0]] == counts
+        nodes = [np.concatenate([x[:-1] for _, x in cells] + [[2.5]])
+                 for cells in levels]
+        for k, (coarse, fine) in enumerate(zip(nodes, nodes[1:])):
+            assert len(fine) - 1 == sum(counts) << (k + 1)
+            assert np.all(np.diff(fine) > 0)
+            assert np.array_equal(fine[::2], coarse)
+        cuts = [c for c in (0.3, 1.0 / 3.0, 1.7) if c > lo]
+        for cells in levels:
+            assert [x[0] for _, x in cells] == [lo] + cuts
+            assert cells[-1][0] == () and cells[-1][1][-1] == 2.5
 
 
 def test_end_power():
