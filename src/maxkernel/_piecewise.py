@@ -244,13 +244,16 @@ def aligned_cells(pieces: Sequence[Piece], lo: float, hi: float,
                   first: int, level: int) -> list:
     """(terms, nodes) per piece of with_gaps(pieces) on [lo, hi], with a
     stretch past the last piece as a piece of no terms: max(1, round(first
-    len / (hi - lo))) << level equal cells, so the levels nest."""
+    len / (hi - lo))) << level equal cells, so the levels nest; a piece
+    stops splitting before its cells fall below 8 ulps, lest nodes merge."""
     out = []
     # the empty piece at hi makes with_gaps fill the stretch up to hi
     for a, b, terms in with_gaps([*pieces, (hi, hi, ())]):
         x0, x1 = max(a, lo), min(b, hi)
         if x0 < x1:
-            count = max(1, round(first * ((x1 - x0) / (hi - lo)))) << level
+            count = max(1, round(first * ((x1 - x0) / (hi - lo))))
+            fit = int((x1 - x0) / (8.0 * math.ulp(x1))) // count
+            count <<= min(level, max(0, fit.bit_length() - 1))
             out.append((terms, np.linspace(x0, x1, count + 1)))
     return out
 

@@ -157,14 +157,11 @@ def _quad_over_pieces(f, pieces) -> float:
     bounded support)."""
     cuts = sorted({0.0} | {a for a, _, _ in pieces}
                   | {b for _, b, _ in pieces if math.isfinite(b)})
+    if math.isinf(pieces[-1][1]):
+        cuts.append(np.inf)
     total = 0.0
     for u, v in zip(cuts[:-1], cuts[1:]):
-        val, _ = quad(f, u, v, limit=200, epsabs=1e-13, epsrel=1e-11)
-        total += val
-    if math.isinf(pieces[-1][1]):
-        val, _ = quad(f, cuts[-1], np.inf, limit=200, epsabs=1e-13,
-                      epsrel=1e-11)
-        total += val
+        total += quad(f, u, v, limit=200, epsabs=1e-13, epsrel=1e-11)[0]
     return total
 
 

@@ -18,14 +18,10 @@ asked.
 
 spectrum() doubles the grid of _piecewise.aligned_cells, whose nodes hold
 every breakpoint, and solves each level by Lanczos for the top K values.  A
-step symbol's range lies in the span of the indicators of (0, x_i], so its
-Galerkin matrix on the breakpoint grid is the operator itself
-(step_exact_spectrum).  triangular_limit extrapolates the triangular part in
-the grid size.  For a real symbol the dense eigensolve reads one lower
-triangle filled from the generators in O(n^2): the full matrix itself, or
-for the lower mask the Gram matrix L L^T, which is again order-1
-semiseparable plus diagonal.  Only complex symbols (an SVD) and the tests
-read the dense entries.
+step symbol's Galerkin matrix on its breakpoint grid is the operator itself,
+which step_exact_spectrum builds in closed form.  triangular_limit
+extrapolates the triangular part in the grid size.  Dense solves of real
+symbols read one lower triangle filled from the generators (_dense_lower).
 """
 
 from __future__ import annotations
@@ -324,12 +320,8 @@ def truncation_point(s: Symbol, eps: float = 1e-6) -> float:
     sup = support(s)
     if sup.bounded:
         return sup.hi
-    X = 1.0
-    for a, b, _ in to_pieces(s):
-        if math.isfinite(b):
-            X = max(X, b)
-        else:
-            X = max(X, a, 1.0)
+    X = max([1.0] + [b if math.isfinite(b) else a
+                     for a, b, _ in to_pieces(s)])
     for _ in range(200):
         if tail_functional(s, X) <= eps * eps:
             return X
@@ -345,8 +337,7 @@ def _graded_nodes(s: Symbol, X: float, n: int) -> np.ndarray:
     remaining cells grade geometrically over [a, X].  Otherwise half the
     cells resolve [0, 1] uniformly and half grade up to X.
     """
-    starts = [a for a, _, terms in to_pieces(s) if terms]
-    lo_nz = min(starts) if starts else 0.0
+    lo_nz = min((a for a, _, terms in to_pieces(s) if terms), default=0.0)
     if lo_nz > 0.0:
         return np.concatenate([[0.0], np.geomspace(lo_nz, X, n)])
     m = n // 2
@@ -369,8 +360,7 @@ def spectrum(s: Symbol, interval=None, n0: int = 256, tol: float = 1e-6,
     (0.1 tol)^2; past a cut at 4 the cells are graded (geometric toward the
     cut) so the truncation does not starve resolution near the origin.
     """
-    meta = {}
-    graded = False
+    meta, graded = {}, False
     if interval is None:
         sup = support(s)
         if sup.bounded:
@@ -382,8 +372,7 @@ def spectrum(s: Symbol, interval=None, n0: int = 256, tol: float = 1e-6,
             graded = X > 4.0
     else:
         interval = _bounded(interval)
-    history = []
-    prev = None
+    history, prev = [], None
     for level in range(max_doublings + 1):
         if graded:
             nodes = _graded_nodes(s, interval.hi, n0 * 2 ** level)
@@ -412,16 +401,28 @@ def spectrum(s: Symbol, interval=None, n0: int = 256, tol: float = 1e-6,
 def step_exact_spectrum(s: Symbol) -> SpectrumEstimate:
     """Exact singular values of a step symbol, and eigenvalues when real.
 
-    With canonical breakpoints x_1 < ... < x_N the operator is
-    sum_i c_i u_i (x) u_i, c_i the jumps and u_i the indicator of (0, x_i],
-    so its Galerkin matrix on [0, x_1, ..., x_N] is the operator itself: a
-    dense solve, capped at MAX_DENSE."""
+    With canonical values v_k on (x_(k-1), x_k] the range lies in the span
+    of the indicators of (0, x_k], so the Galerkin matrix on [0, x_1, ...,
+    x_N], sqrt(h_k h_l) v_max(k,l), is the operator itself; it is built in
+    closed form, apart from galerkin_matrix, and solved densely."""
     st = canonical_step(s)
     if st is None:
         raise ValueError("symbol is not a step function")
-    gm = galerkin_matrix(st, grid=[0.0, *st.breakpoints])
-    svals, eigs = singular_values(gm)
-    return SpectrumEstimate(svals, "step_exact", gm.n, gm.interval, eigs=eigs)
+    x = np.asarray(st.breakpoints, dtype=float)
+    if len(x) > MAX_DENSE:
+        raise ValueError(f"step_exact is capped at {MAX_DENSE} breakpoints, "
+                         f"this step has {len(x)}: use --method galerkin")
+    rh, v = np.sqrt(np.diff(x, prepend=0.0)), np.asarray(st.values)
+    # the lower triangle of outer(rh v, rh) is the matrix's
+    if is_real_symbol(st):
+        lam = eigvalsh(np.outer(rh * v.real, rh), lower=True, overwrite_a=True)
+        lam = lam[np.argsort(-np.abs(lam))]
+        sv = np.abs(lam)
+    else:
+        a = np.outer(rh * v, rh)
+        sv, lam = svdvals(np.tril(a) + np.tril(a, -1).T), None
+    return SpectrumEstimate(sv, "step_exact", len(x),
+                            Interval(0.0, float(x[-1])), eigs=lam)
 
 
 def schatten(est: SpectrumEstimate, p: float) -> SchattenReport:

@@ -129,8 +129,7 @@ class _Problem:
         hs, cs = [], []
         for terms, nodes in aligned_cells(self.pieces, 0.0, self.b,
                                           _FIRST_CELLS, level):
-            phi = np.real(eval_terms(terms, nodes)) if terms \
-                else np.zeros(len(nodes))
+            phi = np.real(eval_terms(terms, nodes))
             h = np.diff(nodes)
             hs.append(h)
             cs.append(np.maximum((phi[:-1] - phi[1:]) / h, 0.0))

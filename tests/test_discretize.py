@@ -186,6 +186,13 @@ def test_spectrum_off_grid_step_converges():
     assert np.max(np.abs(est.svals - exact)) <= 1e-12 * exact[0]
 
 
+def test_spectrum_step_with_ulp_wide_piece():
+    s = Step([1.0, math.nextafter(1.0, 2.0)], [2.0, 1.0])
+    est = discretize.spectrum(s, K=2)
+    exact = discretize.step_exact_spectrum(s).svals
+    assert np.max(np.abs(est.svals - exact[:2])) <= 1e-12 * exact[0]
+
+
 def test_conforming_grid_is_exact_for_steps():
     s = Step([0.3, 1.1, 2.0], [3.0, 2.0, 0.5])
     exact = discretize.step_exact_spectrum(s).svals
@@ -221,16 +228,26 @@ def test_step_exact_is_capped():
         discretize.step_exact_spectrum(s)
 
 
-# breakpoints 0.37, 1.0 and 1.1 split cells; the narrow cell far from 0
-# lies on a polynomial piece, where the moments are taken from its node
+# breakpoints 0.37, 1.0 and 1.1 split cells; [0.7, 0.700001] is a narrow
+# cell far from 0 on a polynomial piece, where the moments are taken from
+# its node
 _SPLIT_NODES = np.array([0.0, 0.2, 0.5, 0.7, 0.700001, 0.9, 1.05, 1.3, 1.6])
+_PPOLY = PiecewisePoly([0.37, 1.0], [[1.0, 2.0, -3.0], [0.5, -0.5, 0.25, 0.1]],
+                       tail=[(2.0, -2), (-1.0, -3)])
+_TRIG = TrigPoly(1.1, [0.2, 0.5, 1.0, 0.5, 0.2])
+# Laurent and oscillating terms still take differences of antiderivatives,
+# which lose about eps a^2 / h^2 of w on a narrow cell (FOUND in CHANGES.md)
+_CANCELS = pytest.mark.xfail(strict=True, reason="antiderivative "
+                             "differences cancel on narrow cells")
 
 
 @pytest.mark.parametrize("s, nodes", [
-    (PiecewisePoly([0.37, 1.0], [[1.0, 2.0, -3.0], [0.5, -0.5, 0.25, 0.1]],
-                   tail=[(2.0, -2), (-1.0, -3)]), _SPLIT_NODES),
-    (TrigPoly(1.1, [0.2, 0.5, 1.0, 0.5, 0.2]), np.delete(_SPLIT_NODES, 4)),
-], ids=["ppoly-laurent-tail", "trig"])
+    (_PPOLY, _SPLIT_NODES),
+    (_TRIG, np.delete(_SPLIT_NODES, 4)),
+    pytest.param(_TRIG, _SPLIT_NODES, marks=_CANCELS),
+    pytest.param(_PPOLY, np.insert(_SPLIT_NODES, 8, 1.300001),
+                 marks=_CANCELS),
+], ids=["ppoly-laurent-tail", "trig", "trig-narrow", "laurent-tail-narrow"])
 def test_cell_moments_match_quad(s, nodes):
     gm = discretize.galerkin_matrix(s, grid=nodes)
 

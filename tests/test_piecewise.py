@@ -62,6 +62,19 @@ def test_aligned_levels_nest():
             assert cells[-1][0] == () and cells[-1][1][-1] == 2.5
 
 
+def test_aligned_cells_stop_above_ulps():
+    # a piece one ulp wide stays one cell: its nodes cannot round together
+    x1 = math.nextafter(1.0, 2.0)
+    pieces = to_pieces(Step([1.0, x1, 2.0], [2.0, 1.0, 3.0]))
+    levels = [aligned_cells(pieces, 0.0, 2.0, 8, level) for level in range(3)]
+    assert [len(x) - 1 for _, x in levels[2]] == [16, 1, 16]
+    nodes = [np.concatenate([x[:-1] for _, x in cells] + [[2.0]])
+             for cells in levels]
+    for coarse, fine in zip(nodes, nodes[1:]):
+        assert np.all(np.diff(fine) > 0)
+        assert np.all(np.isin(coarse, fine))
+
+
 def test_end_power():
     laurent = ((3.0, -2, 0.0), (1.0, 0, 0.0), (2.0, 1, 0.0))
     assert end_power(laurent, "lo") == (-2, 3.0)
