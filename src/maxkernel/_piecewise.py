@@ -43,7 +43,8 @@ import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+
+from ._scipy import quad
 
 Term = tuple[complex, int, float]
 Piece = tuple[float, float, tuple[Term, ...]]

@@ -16,9 +16,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, svdvals
 
 from . import classify, discretize, matrixrep, sturm
+from ._scipy import eigh, svdvals
 from .symbols import (Interval, PiecewisePoly, Sampled, Step, Symbol,
                       TrigPoly, support)
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._piecewise import (Term, _piece_value_range, abs2_terms, abs_integral,
                          coef_scale, cut_values, derivative_terms, end_power,
                          eval_pieces, integrate_terms, mul_terms,
                          not_integrable, variation, with_gaps)
+from ._scipy import quad
 from .symbols import Interval, Step, Symbol, modulus, support, to_pieces
 
 __all__ = [
@@ -326,6 +326,10 @@ def monotone_profile_norm(s: Symbol, p: float) -> float:
         return 0.0
     if not_integrable(pieces):
         return math.inf
+    if all(q == 0 and w == 0.0 for _, _, t in pieces for _, q, w in t):
+        # constant pieces v: the sum of v^p (b^p - a^p) / p
+        return sum(max(float(np.real(sum(c for c, _, _ in t))), 0.0) ** p
+                   * (b ** p - a ** p) / p for a, b, t in pieces) ** (1.0 / p)
 
     def f(x: float) -> float:
         v = float(np.real(eval_pieces(pieces, x)))

@@ -6,8 +6,8 @@ entry reduces to one of two 1-D integrals per cell,
 
     m_i = int_{cell i} phi,        w_i = int_{cell i} (x - a_i) phi(x) dx,
 
-both exact piece by piece: polynomial terms by Gauss-Legendre about the
-cell's left node, so narrow cells far from 0 lose nothing to cancellation.
+both exact piece by piece: by Gauss-Legendre about the cell's left node
+wherever antiderivative differences would cancel (see _exact_moments).
 Off-diagonal entries couple cells only through m: entry (i, j) of the lower
 factor is u_i v_j below the diagonal, with u = m / sqrt(h) and v = sqrt(h),
 and w_i / h_i on it.  The full matrix is lower + lower^T, order-1
@@ -32,11 +32,10 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh, svdvals
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from ._piecewise import (aligned_cells, derivative_terms, eval_terms,
                          integrate_terms_nodes, mul_terms)
+from ._scipy import LinearOperator, eigsh, eigvalsh, svdvals
 from .classify import canonical_step, is_nonincreasing, is_nonnegative, \
     l1_norm, tail_functional
 from .symbols import Interval, Symbol, is_real_symbol, support, to_pieces
@@ -173,31 +172,41 @@ def _cell_moments(s: Symbol, nodes: np.ndarray, moments):
     return m, w
 
 
-def _gauss_moments(f, pts: np.ndarray, base: np.ndarray, q: int):
-    """int f and int (x - base_k) f over each [pts_k, pts_(k+1)] by q-point
-    Gauss-Legendre, x - base_k taken from pts_k - base_k, which is exact
-    when base_k is pts_k: no antiderivative far from 0 cancels."""
+def _gauss_moments(f, lo: np.ndarray, hi: np.ndarray, base: np.ndarray,
+                   q: int):
+    """int f and int (x - base_k) f over each [lo_k, hi_k] by q-point
+    Gauss-Legendre, x - base_k taken from lo_k - base_k, which is exact
+    when base_k is lo_k: no antiderivative far from 0 cancels."""
     gx, gw = np.polynomial.legendre.leggauss(q)
-    half = 0.5 * np.diff(pts)
+    half = 0.5 * (hi - lo)
     off = half[:, None] * (1.0 + gx)
-    vals = f(pts[:-1, None] + off)
-    t = (pts[:-1] - base)[:, None] + off
+    vals = f(lo[:, None] + off)
+    t = (lo - base)[:, None] + off
     return half * (vals @ gw), half * ((t * vals) @ gw)
 
 
 def _exact_moments(terms, pts: np.ndarray, base: np.ndarray):
     """Exact moments of one piece: polynomial terms by Gauss-Legendre with
-    enough points for x phi, Laurent and oscillating ones by differences
-    of antiderivatives."""
+    enough points for x phi, Laurent and oscillating ones too on cells of
+    width h <= a/8 (a the distance from 0, if a power is negative) and
+    h |freq| <= 1, where differences of antiderivatives would lose about
+    eps (a/h)^2 and eps / (h |freq|), and by those differences elsewhere."""
     poly = tuple(t for t in terms if t[1] >= 0 and t[2] == 0.0)
     rest = tuple(t for t in terms if t[1] < 0 or t[2] != 0.0)
     deg = max((p for _, p, _ in poly), default=0)
-    m, w = _gauss_moments(lambda x: eval_terms(poly, x), pts, base,
+    lo, hi = pts[:-1], pts[1:]
+    m, w = _gauss_moments(lambda x: eval_terms(poly, x), lo, hi, base,
                           (deg + 1) // 2 + 1)
     if rest:
         mm = integrate_terms_nodes(rest, pts)
-        xm = integrate_terms_nodes(mul_terms(rest, ((1.0, 1, 0.0),)), pts)
-        m, w = m + mm, w + xm - base * mm
+        wm = integrate_terms_nodes(mul_terms(rest, ((1.0, 1, 0.0),)),
+                                   pts) - base * mm
+        near = ((hi - lo) * max(abs(t[2]) for t in rest) <= 1.0) & (
+            (8.0 * (hi - lo) <= lo) | all(t[1] >= 0 for t in rest))
+        mm[near], wm[near] = _gauss_moments(
+            lambda x: eval_terms(rest, x), lo[near], hi[near], base[near],
+            8 + max(abs(t[1]) for t in rest) // 2)
+        m, w = m + mm, w + wm
     return m, w
 
 
@@ -504,8 +513,8 @@ def _sqrt_slope_moments(terms, pts: np.ndarray, base: np.ndarray):
     """Moments of psi = sqrt(max(-phi', 0)) by 24-point Gauss-Legendre."""
     dt = derivative_terms(terms)
     return _gauss_moments(
-        lambda x: np.sqrt(np.maximum(-eval_terms(dt, x).real, 0.0)), pts,
-        base, 24)
+        lambda x: np.sqrt(np.maximum(-eval_terms(dt, x).real, 0.0)),
+        pts[:-1], pts[1:], base, 24)
 
 
 def factor_residual(s: Symbol, n: int = 2048, interval=None) -> float:

@@ -25,11 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import svdvals
-from scipy.special import zeta
 
 from ._piecewise import add_freq, integrate_terms, not_integrable
+from ._scipy import quad, svdvals, zeta
 from .discretize import SpectrumEstimate
 from .symbols import Interval, Symbol, TrigPoly, support, to_pieces
 

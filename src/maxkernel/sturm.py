@@ -39,13 +39,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.special import polygamma
 
 from ._piecewise import (_laurent_roots, _piece_value_range, _real_w0_terms,
                          _right_value, aligned_cells, coef_scale, cut_values,
                          derivative_terms, end_power, eval_pieces, eval_terms,
                          with_gaps)
+from ._scipy import polygamma, quad, solve_ivp
 from .classify import canonical_step
 from .discretize import richardson
 from .symbols import Symbol, evaluate, is_real_symbol, support, to_pieces

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._piecewise import (Piece, _terms_at, abs2_terms, eval_pieces,
                          integrate_terms, merge_terms, shift_terms, variation)
+from ._scipy import quad
 
 __all__ = [
     "Interval", "Step", "PiecewisePoly", "TrigPoly", "Sampled", "Symbol",

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from maxkernel import classify
-from maxkernel.symbols import PiecewisePoly, Sampled, Step, TrigPoly
+from maxkernel.symbols import PiecewisePoly, Sampled, Step, TrigPoly, \
+    to_pieces
 
 
 def test_s2_norm_closed_forms(affine, square, tent, indicator, two_step,
@@ -165,6 +167,31 @@ def test_monotone_profile_matches_xp_at_p1(affine):
     # both routes are exact for a nonincreasing symbol at p = 1
     m = classify.monotone_profile_norm(affine, 1.0)
     assert math.isfinite(m)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.75, 0.6, 0.51])
+def test_monotone_profile_of_constant_pieces_is_closed_form(monkeypatch, p):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "quad", counted)
+    rng = np.random.default_rng(11)
+    symbols = [PiecewisePoly([0.5, 2.0, 2.5], [[3.0], [1.5], [0.25]])]
+    for _ in range(20):
+        n = int(rng.integers(1, 13))
+        symbols.append(Step(np.cumsum(rng.uniform(0.1, 1.0, size=n)),
+                            np.sort(rng.uniform(0.1, 2.0, size=n))[::-1]))
+    for s in symbols:
+        got = classify.monotone_profile_norm(s, p)
+        # the quadrature every other monotone symbol takes, piece by piece
+        want = sum(quad(lambda x: x ** (p - 1.0) * v.real ** p, a, b,
+                        limit=200, epsabs=1e-13, epsrel=1e-11)[0]
+                   for a, b, ((v, _, _),) in to_pieces(s))
+        assert got == pytest.approx(want ** (1.0 / p), rel=1e-13, abs=0.0)
+    assert calls == []
 
 
 def test_positive_operator(affine, tent, indicator):

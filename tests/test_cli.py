@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import maxkernel
 from maxkernel import _piecewise, classify, discretize, matrixrep, sturm
 from maxkernel.cli import main
 from maxkernel.symbols import Step, TrigPoly, symbol_to_json
@@ -406,3 +411,35 @@ def test_every_output_reruns_byte_identically(job, fmt, capsys):
         assert head.startswith("# config: ")
         cfg = json.loads(head[len("# config: "):])
     assert cfg["command"] == argv[0] and cfg["format"] == fmt
+
+
+def test_entry_points_load_only_the_scipy_they_call():
+    # a fresh interpreter, as this one has imported scipy already
+    code = f"""
+import contextlib, io, json, sys
+import maxkernel, maxkernel.cli
+
+def loaded(*argv):
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert maxkernel.cli.main(list(argv)) == 0, argv
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+print(json.dumps([
+    loaded(),
+    loaded("classify", "--symbol", {TWO_STEP!r}, "--p", "2,1,0.75,0.4"),
+    loaded("hankel", "--symbol", {TWO_STEP!r}, "--K", "8"),
+    loaded("spectrum", "--symbol", {AFFINE!r}, "--method", "galerkin",
+           "--K", "4"),
+]))
+"""
+    src = str(Path(maxkernel.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr
+    at_import, after_classify, after_hankel, after_spectrum = \
+        json.loads(r.stdout)
+    assert at_import == [] and after_classify == []
+    for name in ("scipy.integrate", "scipy.special"):
+        assert name not in after_hankel and name not in after_spectrum

@@ -229,24 +229,19 @@ def test_step_exact_is_capped():
 
 
 # breakpoints 0.37, 1.0 and 1.1 split cells; [0.7, 0.700001] is a narrow
-# cell far from 0 on a polynomial piece, where the moments are taken from
-# its node
+# cell far from 0, where the moments are taken from its node, as they are
+# on [1.3, 1.300001] on the Laurent tail
 _SPLIT_NODES = np.array([0.0, 0.2, 0.5, 0.7, 0.700001, 0.9, 1.05, 1.3, 1.6])
 _PPOLY = PiecewisePoly([0.37, 1.0], [[1.0, 2.0, -3.0], [0.5, -0.5, 0.25, 0.1]],
                        tail=[(2.0, -2), (-1.0, -3)])
 _TRIG = TrigPoly(1.1, [0.2, 0.5, 1.0, 0.5, 0.2])
-# Laurent and oscillating terms still take differences of antiderivatives,
-# which lose about eps a^2 / h^2 of w on a narrow cell (FOUND in CHANGES.md)
-_CANCELS = pytest.mark.xfail(strict=True, reason="antiderivative "
-                             "differences cancel on narrow cells")
 
 
 @pytest.mark.parametrize("s, nodes", [
     (_PPOLY, _SPLIT_NODES),
     (_TRIG, np.delete(_SPLIT_NODES, 4)),
-    pytest.param(_TRIG, _SPLIT_NODES, marks=_CANCELS),
-    pytest.param(_PPOLY, np.insert(_SPLIT_NODES, 8, 1.300001),
-                 marks=_CANCELS),
+    (_TRIG, _SPLIT_NODES),
+    (_PPOLY, np.insert(_SPLIT_NODES, 8, 1.300001)),
 ], ids=["ppoly-laurent-tail", "trig", "trig-narrow", "laurent-tail-narrow"])
 def test_cell_moments_match_quad(s, nodes):
     gm = discretize.galerkin_matrix(s, grid=nodes)

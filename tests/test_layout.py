@@ -148,3 +148,17 @@ def test_symbol_types_dispatched_only_in_symbols(path):
         else set()
     bad = set(_isinstance_on_symbols(_tree(path))) - allowed
     assert not bad, f"{path.stem} dispatches on symbol classes: {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_scipy_is_imported_only_by_its_lazy_module(path):
+    """Only _scipy imports scipy, so it alone decides when each scipy
+    subpackage loads."""
+    if path.stem == "_scipy":
+        return
+    bad = [ast.unparse(node) for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Import)
+           and any(a.name.partition(".")[0] == "scipy" for a in node.names)
+           or isinstance(node, ast.ImportFrom) and not node.level
+           and (node.module or "").partition(".")[0] == "scipy"]
+    assert not bad, f"{path.stem} imports scipy: {bad}"
