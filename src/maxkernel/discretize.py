@@ -16,12 +16,21 @@ factor itself.  A GalerkinMatrix holds these generators, applies itself to a
 vector with two cumulative sums, and builds the dense n x n array only when
 asked.
 
+Every value of a real matrix (singular_values without Lanczos) comes
+from that structure too: with B lower bidiagonal from (u, v, d) and
+K = diag(1/v)(I - Z), Z the down shift, the lower factor is L = B K^-1,
+so L L^T and L + L^T have the eigenvalues of tridiagonal pencils over
+K^T K.  LAPACK's dsbgst (Crawford's method) reduces each to a
+tridiagonal matrix, given a split factor of K^T K built exactly from K:
+O(n^2) time and O(n) memory, with no n x n array and no size cap.  A
+complex symbol's values come from a dense SVD, capped at MAX_DENSE.
+
 spectrum() doubles the grid of _piecewise.aligned_cells, whose nodes hold
 every breakpoint, and solves each level by Lanczos for the top K values.  A
 step symbol's Galerkin matrix on its breakpoint grid is the operator itself,
-which step_exact_spectrum builds in closed form.  triangular_limit
-extrapolates the triangular part in the grid size.  Dense solves of real
-symbols read one lower triangle filled from the generators (_dense_lower).
+which step_exact_spectrum builds in closed form and solves densely, apart
+from the generators.  triangular_limit extrapolates the triangular part in
+the grid size.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ import numpy as np
 
 from ._piecewise import (aligned_cells, derivative_terms, eval_terms,
                          integrate_terms_nodes, mul_terms)
-from ._scipy import LinearOperator, eigsh, eigvalsh, svdvals
+from ._scipy import LinearOperator, dsbgst, eigsh, eigvalsh, \
+    eigvalsh_tridiagonal, svdvals
 from .classify import canonical_step, is_nonincreasing, is_nonnegative, \
     l1_norm, tail_functional
 from .symbols import Interval, Symbol, is_real_symbol, support, to_pieces
@@ -47,7 +57,7 @@ __all__ = [
     "truncation_point",
 ]
 
-MAX_DENSE = 4096  # dense solves above this are refused, steps' included
+MAX_DENSE = 4096  # larger complex all-values solves and steps are refused
 
 
 @dataclass(frozen=True)
@@ -252,10 +262,14 @@ def galerkin_matrix(s: Symbol, interval=None, n: int = 256,
                           len(nodes) - 1, nodes, m, w, mask)
 
 
-def _uses_lanczos(gm: GalerkinMatrix, k: Optional[int]) -> bool:
-    """Whether singular_values(gm, k) runs Lanczos: only k < n - 1, since
-    ARPACK cannot return every eigenvalue of an operator."""
-    return k is not None and k < gm.n - 1
+def _route(gm: GalerkinMatrix, k: Optional[int]) -> str:
+    """The solve singular_values(gm, k) runs: Lanczos only for k < n - 1,
+    since ARPACK cannot return every eigenvalue of an operator; otherwise
+    the bidiagonal pencil for a real matrix and a dense SVD for a complex
+    one."""
+    if k is not None and k < gm.n - 1:
+        return "galerkin-lanczos"
+    return "galerkin-dense" if np.iscomplexobj(gm.m) else "galerkin-pencil"
 
 
 def _top_eigs(matvec, n: int, k: int, dtype) -> np.ndarray:
@@ -267,40 +281,76 @@ def _top_eigs(matvec, n: int, k: int, dtype) -> np.ndarray:
     return eigsh(op, k, which="LM", v0=v0, return_eigenvectors=False)
 
 
-def _dense_lower(gm: GalerkinMatrix) -> np.ndarray:
-    """n x n array whose lower triangle is the real symmetric matrix the
-    dense route solves: entries itself for the full mask, the Gram matrix
-    L L^T for the lower mask L.  The upper triangle is left unset.
+def _pencil_eigs(gm: GalerkinMatrix) -> np.ndarray:
+    """Ascending eigenvalues of L L^T (lower mask) or L + L^T (full mask)
+    for a real lower factor L, in O(n^2) time and O(n) memory.
 
-    L L^T is order-1 semiseparable plus diagonal: entry (i, j) for i > j is
-    u_i p_j with p = u S + v d, and its diagonal is u^2 S + d^2, so no n^3
-    product is formed.
+    With B lower bidiagonal, diagonal d/v and entry u_i - d_i/v_i at
+    (i, i-1), and K = diag(1/v)(I - Z) for the down shift Z, L = B K^-1
+    exactly.  So these are the eigenvalues of the tridiagonal pencils
+    (B^T B, K^T K) and (K^T B + B^T K, K^T K), and only v > 0 is divided
+    by.  K^T K is not formed: its split factor in dpbstf's layout, with
+    m = ceil(n/2), has K's own rows from m on and, above, the upper
+    bidiagonal R of a Givens QR of K[:m, :m], whose rotations telescope to
+    R_ii = 1/(r_i v_(i+1)), R_(i,i+1) = -r_i/v_(i+1), r_i = sqrt(t_i/t_(i+1))
+    and R_(m-1,m-1) = t_(m-1)^(-1/2), with t_i = v_0^2 + ... + v_i^2.
+    dsbgst (Crawford's method, CACM 16, 1973) reduces the pencil to a
+    tridiagonal matrix.  The eigenvalues carry an error of a few eps times
+    the largest; for the lower mask they are the squared singular values,
+    so a small s_k moves by up to about eps s_0^2 / s_k.
     """
     u, v, d = gm._uvd
-    if gm.mask == "full":
-        a = np.outer(u, v)
-        np.fill_diagonal(a, 2.0 * d)
-        return a
-    S = gm._prefix
-    a = np.outer(u, u * S + v * d)
-    np.fill_diagonal(a, u * u * S + d * d)
-    return a
+    n = gm.n
+    bd = d / v
+    bs = u[1:] - bd[1:]  # B_(i,i-1), i >= 1
+    # LAPACK upper band storage: row 1 the diagonal, ab[0, j] entry (j-1, j)
+    ab = np.zeros((2, n), order="F")
+    if gm.mask == "lower":
+        ab[1] = bd * bd
+        ab[1, :-1] += bs * bs
+        ab[0, 1:] = bs * bd[1:]
+    else:
+        kd, ks = bd / v, bs / v[1:]
+        ab[1] = 2.0 * kd
+        ab[1, :-1] -= 2.0 * ks
+        ab[0, 1:] = ks - kd[1:]
+    m = (n + 1) // 2
+    t = np.cumsum(v[:m] ** 2)
+    r = np.sqrt(t[:-1] / t[1:])
+    # the split factor S: bb[0, j] is S_(j-1,j) for j < m, S_(j,j-1) after
+    bb = np.zeros((2, n), order="F")
+    bb[1, :m - 1] = 1.0 / (r * v[1:m])
+    bb[0, 1:m] = -r / v[1:m]
+    bb[1, m - 1] = 1.0 / math.sqrt(t[-1])
+    bb[1, m:] = 1.0 / v[m:]
+    bb[0, m:] = -1.0 / v[m:]
+    c = dsbgst(ab, bb)
+    lam = eigvalsh_tridiagonal(c[1], c[0, 1:], lapack_driver="sterf")
+    if gm.mask == "lower":
+        # a zero row of B, and so of L (phi = 0 on the cell), is an exact
+        # zero singular value; the reduction would leave about eps s_0^2
+        # there, sqrt(eps) s_0 once the square root is taken
+        zero_rows = (bd == 0.0) & np.concatenate(([True], bs == 0.0))
+        lam[:np.count_nonzero(zero_rows)] = 0.0
+    return lam
 
 
 def singular_values(gm: GalerkinMatrix, k: Optional[int] = None):
     """Descending singular values; eigenvalues too when the matrix is
     symmetric real (full mask, real symbol).
 
-    With k None, every value by a dense solve, refused above MAX_DENSE.
     With k given, the k largest by Lanczos on the O(n) operator, with no
     size cap: on the matrix itself when it is symmetric real, otherwise on
     its Gram operator A^H A, whose eigenvalues are the squared singular
-    values.  Grids with n <= k + 1 go dense.
+    values.  Otherwise (k None, or n <= k + 1) every value: for a real
+    symbol from the bidiagonal pencil of _pencil_eigs, in O(n^2) time and
+    O(n) memory with no size cap; for a complex one by a dense SVD of
+    entries, refused above MAX_DENSE.
     """
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
-    n = gm.n
-    if _uses_lanczos(gm, k):
+    n, route = gm.n, _route(gm, k)
+    if route == "galerkin-lanczos":
         if gm.mask == "full" and not np.iscomplexobj(gm.m):
             eigs = _top_eigs(gm.matvec, n, k, float)
             order = np.argsort(-np.abs(eigs))
@@ -308,12 +358,14 @@ def singular_values(gm: GalerkinMatrix, k: Optional[int] = None):
         sq = _top_eigs(lambda x: np.conj(gm.rmatvec(np.conj(gm.matvec(x)))),
                        n, k, gm.m.dtype)
         return np.sqrt(np.maximum(np.sort(sq)[::-1], 0.0)), None
-    if n > MAX_DENSE:
-        raise ValueError(f"dense solve capped at n = {MAX_DENSE}")
-    if np.iscomplexobj(gm.m):
+    if route == "galerkin-dense":
+        if n > MAX_DENSE:
+            raise ValueError(
+                f"the dense SVD of a complex symbol is capped at n = "
+                f"{MAX_DENSE}: pass k for the top k values by Lanczos")
         sv, eigs = svdvals(gm.entries), None
     else:
-        lam = eigvalsh(_dense_lower(gm), lower=True, overwrite_a=True)
+        lam = _pencil_eigs(gm)
         if gm.mask == "full":
             order = np.argsort(-np.abs(lam))
             sv, eigs = np.abs(lam)[order], lam[order]
@@ -361,8 +413,9 @@ def spectrum(s: Symbol, interval=None, n0: int = 256, tol: float = 1e-6,
 
     Level l has the nodes of aligned_cells(pieces, lo, hi, n0, l), so
     every breakpoint is a node, and solves for the top K values only
-    (singular_values(gm, K)); method names the route of the last level,
-    "galerkin-lanczos" or "galerkin-dense" (grids with n <= K + 1).  Raises
+    (singular_values(gm, K)); method names the route of the last level:
+    "galerkin-lanczos", or on grids with n <= K + 1 "galerkin-pencil" for
+    a real symbol and "galerkin-dense" for a complex one.  Raises
     RuntimeError("no-convergence") when the doubling budget runs out first.
 
     Unbounded supports are truncated where the tail functional falls below
@@ -397,10 +450,8 @@ def spectrum(s: Symbol, interval=None, n0: int = 256, tol: float = 1e-6,
             k = min(len(prev), len(svals))
             scale = max(float(svals[0]), 1e-300)
             if np.all(np.abs(svals[:k] - prev[:k]) <= tol * scale):
-                method = ("galerkin-lanczos" if _uses_lanczos(gm, K)
-                          else "galerkin-dense")
                 return SpectrumEstimate(
-                    svals, method, gm.n, interval, eigs=eigs,
+                    svals, _route(gm, K), gm.n, interval, eigs=eigs,
                     refinement_history=tuple(history), meta=meta)
         prev = svals
     raise RuntimeError(
@@ -482,10 +533,15 @@ def triangular_limit(s: Symbol, interval=None,
 
     The uniform-grid error of each masked singular value is O(h^2) with a
     smooth leading coefficient, so two rounds of Richardson across three
-    doubled grids leave O(h^6)-ish residue, flat over the index window.
-    The plateau constant comes from a least-squares fit of
+    doubled grids remove the h^2 and h^4 terms.  For the indicator the
+    residue is flat over the index window; for other symbols it grows with
+    the index, as the grids resolve high indices less well: for (1-x)^2
+    the default levels leave the extrapolated value 3.2e-7 low at index 100
+    and 6.2e-4 low at index 400, against levels (8192, 16384, 32768).  The
+    plateau constant comes from a least-squares fit of
     n * s_n = a + b / (n + 1/2), exact for the indicator symbol, and is
-    compared with the predicted limit (1/pi) int |phi|.
+    compared with the predicted limit (1/pi) int |phi|.  Each level takes
+    every value by the pencil route of singular_values.
     """
     if len(levels) != 3 or sorted(levels) != list(levels) \
             or levels[1] != 2 * levels[0] or levels[2] != 2 * levels[1]:

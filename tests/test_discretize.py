@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh, svdvals
@@ -79,6 +79,9 @@ def test_spectrum_refines_past_dense_cap(affine):
 
 def test_spectrum_small_grid_is_dense(affine):
     est = discretize.spectrum(affine, n0=4, tol=1e-2, K=8)
+    assert est.method == "galerkin-pencil" and est.n <= 9
+    tilted = PiecewisePoly([1.0], [[1.0 + 0.5j, -1.0 - 0.5j]])
+    est = discretize.spectrum(tilted, n0=4, tol=1e-2, K=8)
     assert est.method == "galerkin-dense" and est.n <= 9
 
 
@@ -170,12 +173,27 @@ def test_explicit_nodes_reject_disorder(affine):
         discretize.galerkin_matrix(affine, grid=[0.0, 0.5, 0.25])
 
 
-def test_dense_cap(affine):
-    gm = discretize.galerkin_matrix(affine, n=discretize.MAX_DENSE + 1)
-    with pytest.raises(ValueError):
+def test_dense_cap():
+    tilted = PiecewisePoly([1.0], [[1.0 + 0.5j, -1.0 - 0.5j]])
+    gm = discretize.galerkin_matrix(tilted, n=discretize.MAX_DENSE + 1)
+    with pytest.raises(ValueError, match="capped"):
         discretize.singular_values(gm)
     sv, _ = discretize.singular_values(gm, 4)
     assert len(sv) == 4
+
+
+@pytest.mark.parametrize("mask", ["full", "lower"])
+def test_pencil_past_dense_cap(affine, mask):
+    # no dense oracle at this size: the trace and Frobenius identities
+    gm = discretize.galerkin_matrix(affine, n=2 * discretize.MAX_DENSE + 1,
+                                    mask=mask)
+    sv, eigs = discretize.singular_values(gm)
+    assert len(sv) == gm.n and "entries" not in vars(gm)
+    fro2 = gm.frobenius_norm() ** 2
+    assert np.sum(sv ** 2) == pytest.approx(fro2, rel=1e-12)
+    if mask == "full":
+        assert np.sum(eigs) == pytest.approx(2.0 * np.sum(gm._uvd[2]),
+                                             rel=1e-12)
 
 
 def test_spectrum_off_grid_step_converges():
@@ -263,6 +281,12 @@ def test_cell_moments_match_quad(s, nodes):
 def _random_symbol(rng, kind):
     if kind == "step":
         return random_step(rng)
+    if kind == "gap":  # a random step with phi = 0 on up to two pieces
+        s = random_step(rng)
+        vals = np.real(s.values)
+        vals[rng.integers(0, len(vals), size=2)] = 0.0
+        vals[-1] = vals[-1] or 1.0
+        return Step(s.breakpoints, vals)
     if kind == "trig":
         c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         return TrigPoly(float(rng.uniform(0.5, 2.0)), c)
@@ -283,6 +307,11 @@ def _random_matrix(seed, kind, mask, grid, n):
             s, grid=np.geomspace(0.05 * hi, hi, n + 1), mask=mask)
     if grid == "explicit":
         nodes = np.sort(rng.uniform(0.0, hi, size=n + 1))
+        return discretize.galerkin_matrix(s, grid=nodes, mask=mask)
+    if grid == "ulp":  # one cell an ulp wide, past the support at the end
+        nodes = np.linspace(0.0, hi, max(n, 2))
+        j = int(rng.integers(1, len(nodes)))
+        nodes = np.insert(nodes, j + 1, np.nextafter(nodes[j], np.inf))
         return discretize.galerkin_matrix(s, grid=nodes, mask=mask)
     return discretize.galerkin_matrix(s, n=n, mask=mask)
 
@@ -310,6 +339,26 @@ def test_structured_matvec_matches_dense(seed, kind, mask, grid, n):
 REAL_KINDS = ("step", "ppoly")
 
 
+def _dense_lower(gm):
+    """n x n array whose lower triangle is the real symmetric matrix the
+    dense oracle solves: entries itself for the full mask, the Gram matrix
+    L L^T for the lower mask L.  The upper triangle is left unset.
+
+    L L^T is order-1 semiseparable plus diagonal: entry (i, j) for i > j is
+    u_i p_j with p = u S + v d, and its diagonal is u^2 S + d^2, so no n^3
+    product is formed.
+    """
+    u, v, d = gm._uvd
+    if gm.mask == "full":
+        a = np.outer(u, v)
+        np.fill_diagonal(a, 2.0 * d)
+        return a
+    S = gm._prefix
+    a = np.outer(u, u * S + v * d)
+    np.fill_diagonal(a, u * u * S + d * d)
+    return a
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(REAL_KINDS),
        st.sampled_from(("full", "lower")),
        st.sampled_from(("uniform", "geometric", "explicit")),
@@ -318,14 +367,47 @@ REAL_KINDS = ("step", "ppoly")
 def test_dense_route_lower_triangle(seed, kind, mask, grid, n):
     gm = _random_matrix(seed, kind, mask, grid, n)
     A = gm.entries
-    got = np.tril(discretize._dense_lower(gm))
+    got = np.tril(_dense_lower(gm))
     if mask == "full":
         assert np.array_equal(got, np.tril(A))
-        _, eigs = discretize.singular_values(gm)
-        assert np.array_equal(np.sort(eigs), eigvalsh(A))
+        lam = eigvalsh(_dense_lower(gm), lower=True, overwrite_a=True)
+        assert np.array_equal(lam, eigvalsh(A))
     else:
         want = np.tril(A @ A.T)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(REAL_KINDS + ("gap",)),
+       st.sampled_from(("full", "lower")),
+       st.sampled_from(("uniform", "geometric", "explicit", "ulp")),
+       st.integers(1, 200))
+@example(0, "ppoly", "lower", "uniform", 1)
+@example(1, "gap", "full", "explicit", 2)
+@example(2, "step", "lower", "ulp", 2)
+@example(6, "gap", "lower", "uniform", 40)  # phi = 0 on the first piece
+@settings(max_examples=80, deadline=None)
+def test_pencil_matches_dense(seed, kind, mask, grid, n):
+    # random steps have values of both signs, so the full matrix has
+    # eigenvalues of both signs
+    gm = _random_matrix(seed, kind, mask, grid, n)
+    sv, eigs = discretize.singular_values(gm)
+    assert "entries" not in vars(gm)
+    if mask == "lower":
+        # the pencil's eigenvalues are the squares, with an error of a few
+        # eps s_0^2 at worst: the least values of random steps on random
+        # grids move by up to about 4e-12 s_0, and near-null values next
+        # to an ulp-wide cell by about 1e-8 s_0, so bound the squares
+        want = svdvals(gm.entries)
+        assert eigs is None
+        assert np.max(np.abs(sv ** 2 - want ** 2)) <= 1e-13 * want[0] ** 2
+        # each row that vanishes (phi = 0 on its cell) is an exact zero
+        zero_rows = np.count_nonzero(np.all(gm.entries == 0.0, axis=1))
+        assert np.all(sv[gm.n - zero_rows:] == 0.0)
+    else:
+        lam = eigvalsh(gm.entries)
+        want = np.sort(np.abs(lam))[::-1]
+        assert np.array_equal(np.abs(eigs), sv)
+        assert np.max(np.abs(np.sort(eigs) - lam)) <= 1e-13 * want[0]
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(REAL_KINDS),
